@@ -43,7 +43,6 @@ from .floquet import (
 )
 from .gvv import (
     GvvEffective,
-    analytic_comb,
     build_floquet_matrix_dut,
     frame_unitary,
     gvv_effective,
@@ -64,6 +63,7 @@ from .numerics import (
     bessel_table,
     dominant_peaks,
     eig_hermitian,
+    evolve_linear,
     evolve_ode,
     find_roots,
 )

@@ -32,8 +32,6 @@ from .model import DensityMatrix, DriveParams
 from .open_system import DecayRates, evolve_gvv_lindblad, evolve_lab_lindblad
 from .validation import run_all
 
-TWO_PI = 2.0 * math.pi
-
 # Keys accepted from a JSON config file, per subcommand.
 _CONFIG_KEYS = {
     "dynamics": {"omega", "amp", "periods", "samples", "truncation", "out", "format"},
@@ -162,13 +160,15 @@ def _cmd_dynamics(cfg: dict, parser) -> int:
     numeric = p1_direct(p, t)
     floquet = p1_floquet(p, trunc, t)
     warnings: list[str] = []
-    try:
-        sol = chrw_solution(p)
-        series = p1_chrw(sol, chrw_coefficients(sol, p), t)
-        chrw_col = list(series.p1)
-    except (NoSolutionError, AmbiguousSolutionError) as exc:
-        warnings.append(f"analytic series unavailable: {exc}")
-        chrw_col = [None] * len(t)
+    chrw_col = [None] * len(t)
+    if p.A == 0.0:
+        warnings.append("analytic series unavailable: no drive (A = 0), the xi condition is degenerate")
+    else:
+        try:
+            sol = chrw_solution(p)
+            chrw_col = list(p1_chrw(sol, chrw_coefficients(sol, p), t).p1)
+        except (NoSolutionError, AmbiguousSolutionError) as exc:
+            warnings.append(f"analytic series unavailable: {exc}")
     _write_output(cfg, {
         "t": list(t),
         "p1_numeric": list(numeric.p1),

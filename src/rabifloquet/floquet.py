@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import ClusteringError, ContractViolationError, DomainError
 from .model import DriveParams, PureState, TimeSeries, hamiltonian_lab
-from .numerics import eig_hermitian, evolve_ode
+from .numerics import eig_hermitian, evolve_linear
 
 DEFAULT_TRUNCATION = 30
 
@@ -206,15 +206,15 @@ def p1_direct(
     psi0: PureState | None = None,
     rel_tol: float = 1e-10,
 ) -> TimeSeries:
-    """Independent oracle: direct RK4 integration of the Schroedinger equation."""
+    """Independent oracle: direct RK4 integration of the Schroedinger equation.
+
+    Classical RK4 with Richardson step-halving on psi' = -i H(t) psi.
+    """
     if psi0 is None:
         psi0 = PureState.ground()
     t = np.asarray(t_grid, dtype=float)
-
-    def rhs(time: float, psi: np.ndarray) -> np.ndarray:
-        return -1j * (hamiltonian_lab(p, time) @ psi)
-
-    states = evolve_ode(rhs, psi0.vector(), t, rel_tol=rel_tol, max_step=p.period / 400.0)
+    states = evolve_linear(lambda times: -1j * hamiltonian_lab(p, times), psi0.vector(), t,
+                           rel_tol=rel_tol, max_step=p.period / 400.0)
     norms = np.linalg.norm(states, axis=1)
     drift = float(np.max(np.abs(norms - 1.0)))
     if drift > 1e-9:

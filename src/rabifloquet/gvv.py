@@ -24,8 +24,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, InternalConsistencyError, MultiphotonResonanceError
-from .floquet import DEFAULT_TRUNCATION, FloquetMatrix, FrequencyComb, make_comb
-from .model import IDENTITY, SIGMA_X, DriveParams
+from .floquet import DEFAULT_TRUNCATION, FloquetMatrix
+from .model import IDENTITY, SIGMA_X, TWO_PI, DriveParams
 from .numerics import bessel_j, bessel_table, eig_hermitian
 
 _DENOMINATOR_FLOOR = 1e-9
@@ -161,11 +161,6 @@ def gvv_effective(p: DriveParams, K: int | None = None) -> GvvEffective:
     )
 
 
-def analytic_comb(base: float, omega: float, n_max: int) -> FrequencyComb:
-    """Comb {2 n omega} and {|+-base + 2 n omega|} for an analytic base."""
-    return make_comb(base, omega, n_max)
-
-
 def build_floquet_matrix_dut(p: DriveParams, N: int = DEFAULT_TRUNCATION) -> FloquetMatrix:
     """Floquet matrix in the doubly rotated frame.
 
@@ -205,16 +200,23 @@ def build_floquet_matrix_dut(p: DriveParams, N: int = DEFAULT_TRUNCATION) -> Flo
 # Rotating frame shared with the dissipative route
 # ---------------------------------------------------------------------------
 
-def frame_angle(p: DriveParams, t: float) -> float:
-    """Half rotation angle A sin(omega t) / (2 omega), phase-reduced."""
-    return 0.5 * p.A * math.sin(math.fmod(p.omega * t, 2.0 * math.pi)) / p.omega
+def frame_angle(p: DriveParams, t):
+    """Half rotation angle A sin(omega t) / (2 omega), phase-reduced.
 
-
-def frame_unitary(p: DriveParams, t: float) -> np.ndarray:
-    """Unitary mapping rotating-frame states to lab states.
-
-    Columns are the rotating basis states expressed in (|1>, |0>); at
-    t = 0 it is the identity, so the frames share initial conditions.
+    Accepts a scalar time or an array of times.
     """
-    th = frame_angle(p, t)
-    return math.cos(th) * IDENTITY + 1j * math.sin(th) * SIGMA_X
+    return 0.5 * p.A * np.sin(np.fmod(p.omega * np.asarray(t, dtype=float), TWO_PI)) / p.omega
+
+
+def frame_unitary(p: DriveParams, t) -> np.ndarray:
+    """Frame rotation U(t) = cos(theta) + i sin(theta) sigma_x, theta = frame_angle.
+
+    The frame of ``build_floquet_matrix_dut``, whose Hamiltonian is
+    (omega0/2)(cos 2theta sigma_z - sin 2theta sigma_y), maps to the lab
+    as psi_lab = sigma_z U psi_rot: U alone gives the right populations
+    but coherences of the wrong sign.  U(0) = I, so the frames share
+    initial populations.  A scalar ``t`` gives a 2x2 matrix, an array of
+    times a batch of shape ``t.shape + (2, 2)``.
+    """
+    th = frame_angle(p, t)[..., None, None]
+    return np.cos(th) * IDENTITY + 1j * np.sin(th) * SIGMA_X

@@ -127,14 +127,16 @@ class TimeSeries:
             raise ContractViolationError(f"population out of [0, 1]: min={lo}, max={hi}")
 
 
-def hamiltonian_lab(p: DriveParams, t: float) -> np.ndarray:
+def hamiltonian_lab(p: DriveParams, t) -> np.ndarray:
     """Lab-frame Hamiltonian (omega0/2) sigma_z + (A/2) cos(omega t) sigma_x.
 
-    The cosine argument is reduced modulo 2 pi so the matrix is exactly
-    periodic in the drive period.
+    A scalar ``t`` gives a 2x2 matrix, an array of times a batch of shape
+    ``t.shape + (2, 2)``.  The cosine argument is reduced modulo 2 pi so
+    the matrix is exactly periodic in the drive period.
     """
-    phase = math.fmod(p.omega * t, TWO_PI)
-    drive = 0.5 * p.A * math.cos(phase)
-    return np.array(
-        [[0.5 * p.omega0, drive], [drive, -0.5 * p.omega0]], dtype=complex
-    )
+    drive = 0.5 * p.A * np.cos(np.fmod(p.omega * np.asarray(t, dtype=float), TWO_PI))
+    h = np.zeros(drive.shape + (2, 2), dtype=complex)
+    h[..., 0, 0] = 0.5 * p.omega0
+    h[..., 1, 1] = -0.5 * p.omega0
+    h[..., 0, 1] = h[..., 1, 0] = drive
+    return h

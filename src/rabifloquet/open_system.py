@@ -13,18 +13,23 @@ the reduced route keeps all of them.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ContractViolationError, DomainError
-from .gvv import frame_unitary, gvv_effective
-from .model import DensityMatrix, DriveParams, TimeSeries, hamiltonian_lab
-from .numerics import evolve_ode
-
-TWO_PI = 2.0 * math.pi
+from .gvv import frame_angle, frame_unitary, gvv_effective
+from .model import (
+    IDENTITY,
+    SIGMA_Z,
+    TWO_PI,
+    DensityMatrix,
+    DriveParams,
+    TimeSeries,
+    hamiltonian_lab,
+)
+from .numerics import evolve_linear
 
 # Jump operators in the (upper, lower) matrix ordering used throughout.
 _LOWER = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)   # |lower><upper|
@@ -74,13 +79,10 @@ class RotationWeights:
     eta: float
 
 
-def rotation_weights(p: DriveParams, t: float) -> RotationWeights:
-    th = 0.5 * p.A * math.sin(math.fmod(p.omega * t, TWO_PI)) / p.omega
-    return RotationWeights(
-        zeta=0.5 * math.sin(2.0 * th),
-        beta=math.sin(th) ** 2,
-        eta=math.cos(th) ** 2,
-    )
+def rotation_weights(p: DriveParams, t) -> RotationWeights:
+    """Weights at a scalar time, or arrays of them at an array of times."""
+    th = frame_angle(p, t)
+    return RotationWeights(zeta=0.5 * np.sin(2.0 * th), beta=np.sin(th) ** 2, eta=np.cos(th) ** 2)
 
 
 def rotated_rates(p: DriveParams, d: DecayRates, t: float) -> RotatedRates:
@@ -94,12 +96,10 @@ def rotated_rates(p: DriveParams, d: DecayRates, t: float) -> RotatedRates:
     At t = 0 the frames coincide and the lab rates are recovered; at
     strong drive the excitation rate periodically exceeds the decay rate.
     """
-    s = math.sin(math.fmod(p.omega * t, TWO_PI))
-    full = p.A * s / p.omega        # argument of the sin^2 terms
-    half = 0.5 * full               # argument of the sin^4 / cos^4 terms
-    sin2 = math.sin(full) ** 2
-    c4 = math.cos(half) ** 4
-    s4 = math.sin(half) ** 4
+    half = frame_angle(p, t)        # argument of the sin^4 / cos^4 terms
+    sin2 = np.sin(2.0 * half) ** 2
+    c4 = np.cos(half) ** 4
+    s4 = np.sin(half) ** 4
     return RotatedRates(
         t=t,
         gamma_s1s1=sin2 * d.Gamma_10 / 8.0 + c4 * d.gamma_11,
@@ -109,19 +109,54 @@ def rotated_rates(p: DriveParams, d: DecayRates, t: float) -> RotatedRates:
     )
 
 
-def _dissipator(op: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    od = op.conj().T
-    odo = od @ op
-    return 2.0 * (op @ rho @ od) - odo @ rho - rho @ odo
+# Superoperators act on the row-major vec of rho, vec(A rho B) = (A x B^T) vec(rho).
+
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Kronecker product of two (batches of) 2x2 matrices, shape (..., 4, 4)."""
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return out.reshape(out.shape[:-4] + (4, 4))
 
 
-def _check_physical(rho: np.ndarray, where: str) -> None:
-    if abs(np.trace(rho).real - 1.0) > 1e-8:
-        raise ContractViolationError(f"trace drift at {where}: {np.trace(rho).real}")
-    if float(np.max(np.abs(rho - rho.conj().T))) > 1e-9:
+def _commutator(h: np.ndarray) -> np.ndarray:
+    """Superoperator of rho -> -i [h, rho]."""
+    return -1j * (_kron(h, IDENTITY) - _kron(IDENTITY, np.swapaxes(h, -1, -2)))
+
+
+def _dissipator(op: np.ndarray) -> np.ndarray:
+    """Superoperator of D[op] rho = 2 op rho op+ - op+op rho - rho op+op."""
+    odo = np.swapaxes(op.conj(), -1, -2) @ op
+    return 2.0 * _kron(op, op.conj()) - _kron(odo, IDENTITY) - _kron(IDENTITY, np.swapaxes(odo, -1, -2))
+
+
+def _channels(pairs) -> np.ndarray:
+    """Sum of rate * D[op] over the (rate, op) pairs with a nonzero rate."""
+    return sum((rate * _dissipator(op) for rate, op in pairs if rate), np.zeros((4, 4), complex))
+
+
+def _matrices(a, b, c, d) -> np.ndarray:
+    """Batch of [[a, b], [c, d]] from equally shaped entry arrays."""
+    return np.stack([np.stack([a, b], axis=-1), np.stack([c, d], axis=-1)], axis=-2)
+
+
+def _check_physical(rhos: np.ndarray, t: np.ndarray) -> None:
+    """Raise at the first sample whose state is not a density matrix."""
+    rhos_h = np.swapaxes(rhos.conj(), 1, 2)
+    trace = np.trace(rhos, axis1=1, axis2=2).real
+    faults = (
+        np.abs(trace - 1.0) > 1e-8,
+        np.max(np.abs(rhos - rhos_h), axis=(1, 2)) > 1e-9,
+        np.linalg.eigvalsh(0.5 * (rhos + rhos_h))[:, 0] < -1e-8,
+    )
+    bad = np.flatnonzero(np.logical_or.reduce(faults))
+    if len(bad) == 0:
+        return
+    i = bad[0]
+    where = f"t={t[i]:g}"
+    if faults[0][i]:
+        raise ContractViolationError(f"trace drift at {where}: {trace[i]}")
+    if faults[1][i]:
         raise ContractViolationError(f"Hermiticity loss at {where}")
-    if float(np.min(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T)))) < -1e-8:
-        raise ContractViolationError(f"negative population at {where}")
+    raise ContractViolationError(f"negative population at {where}")
 
 
 def evolve_lab_lindblad(
@@ -140,33 +175,28 @@ def evolve_lab_lindblad(
     excited state decays as exp(-Gamma_10 t).
     """
     t = np.asarray(t_grid, dtype=float)
+    channels = _channels([(0.5 * d.Gamma_10, _LOWER), (0.5 * d.Gamma_01, _RAISE),
+                          (d.gamma_11, _PROJ_UP), (d.gamma_00, _PROJ_DOWN)])
 
-    def rhs(time: float, y: np.ndarray) -> np.ndarray:
-        rho = y.reshape(2, 2)
-        h = hamiltonian_lab(p, time)
-        out = -1j * (h @ rho - rho @ h)
-        if d.Gamma_10:
-            out += 0.5 * d.Gamma_10 * _dissipator(_LOWER, rho)
-        if d.Gamma_01:
-            out += 0.5 * d.Gamma_01 * _dissipator(_RAISE, rho)
-        if d.gamma_11:
-            out += d.gamma_11 * _dissipator(_PROJ_UP, rho)
-        if d.gamma_00:
-            out += d.gamma_00 * _dissipator(_PROJ_DOWN, rho)
-        return out.reshape(-1)
+    def generator(times: np.ndarray) -> np.ndarray:
+        return _commutator(hamiltonian_lab(p, times)) + channels
 
-    states = evolve_ode(rhs, rho0.matrix.reshape(-1), t, rel_tol=rel_tol, max_step=p.period / 400.0)
+    states = evolve_linear(generator, rho0.matrix.reshape(-1), t, rel_tol=rel_tol,
+                           max_step=p.period / 400.0)
     rhos = states.reshape(len(t), 2, 2)
-    for i, rho in enumerate(rhos):
-        _check_physical(rho, f"t={t[i]:g}")
+    _check_physical(rhos, t)
     series = TimeSeries(t=t, p1=rhos[:, 0, 0].real)
     return (series, rhos) if return_states else series
 
 
 def rotate_to_lab(rho_rot: DensityMatrix, p: DriveParams, t: float) -> DensityMatrix:
-    """Conjugate a rotating-frame density matrix back to the lab basis."""
-    u = frame_unitary(p, t)
-    return DensityMatrix(u @ rho_rot.matrix @ u.conj().T)
+    """Map a density matrix of the rotated frame back to the lab basis.
+
+    The frame is that of ``build_floquet_matrix_dut``; its lab map is
+    sigma_z U with U = ``frame_unitary``.
+    """
+    v = SIGMA_Z @ frame_unitary(p, t)
+    return DensityMatrix(v @ rho_rot.matrix @ v.conj().T)
 
 
 def evolve_gvv_lindblad(
@@ -193,37 +223,32 @@ def evolve_gvv_lindblad(
     t = np.asarray(t_grid, dtype=float)
     eff = gvv_effective(p, K)
     h = 0.5 * (eff.h + eff.h.T).astype(complex)
-    n_omega = eff.n * p.omega
     # D[1 - P] = D[P] for a projector P, so both dephasing channels share
     # one dissipator; the decay and excitation channels are D[L], D[L+].
     dephasing = d.gamma_11 + d.gamma_00
+    hamiltonian = _commutator(h)
 
-    def rhs(time: float, y: np.ndarray) -> np.ndarray:
-        rho = y.reshape(2, 2)
-        w = rotation_weights(p, time)
-        ph = cmath.exp(1j * math.fmod(n_omega * time, TWO_PI))
-        out = -1j * (h @ rho - rho @ h)
-        if d.Gamma_10 or d.Gamma_01:
-            lower = np.array([[-1j * w.zeta, w.beta * ph],
-                              [w.eta * ph.conjugate(), 1j * w.zeta]])
-            if d.Gamma_10:
-                out += 0.5 * d.Gamma_10 * _dissipator(lower, rho)
-            if d.Gamma_01:
-                out += 0.5 * d.Gamma_01 * _dissipator(lower.conj().T, rho)
-        if dephasing:
-            proj_up = np.array([[w.eta, 1j * w.zeta * ph],
-                                [-1j * w.zeta * ph.conjugate(), w.beta]])
-            out += dephasing * _dissipator(proj_up, rho)
-        return out.reshape(-1)
+    def photon_phase(times: np.ndarray) -> np.ndarray:
+        return np.exp(1j * np.fmod(eff.n * p.omega * times, TWO_PI))
+
+    def generator(times: np.ndarray) -> np.ndarray:
+        w = rotation_weights(p, times)
+        ph = photon_phase(times)
+        lower = _matrices(-1j * w.zeta, w.beta * ph, w.eta * ph.conj(), 1j * w.zeta)
+        proj_up = _matrices(w.eta, 1j * w.zeta * ph, -1j * w.zeta * ph.conj(), w.beta)
+        channels = _channels([(0.5 * d.Gamma_10, lower),
+                              (0.5 * d.Gamma_01, np.swapaxes(lower.conj(), 1, 2)),
+                              (dephasing, proj_up)])
+        return np.broadcast_to(hamiltonian, (len(times), 4, 4)) + channels
 
     rho0 = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
-    states = evolve_ode(rhs, rho0.reshape(-1), t, rel_tol=rel_tol, max_step=p.period / 400.0)
+    states = evolve_linear(generator, rho0.reshape(-1), t, rel_tol=rel_tol,
+                           max_step=p.period / 400.0)
     rhos = states.reshape(len(t), 2, 2)
-    p1 = np.empty(len(t))
-    for i, rho in enumerate(rhos):
-        _check_physical(rho, f"t={t[i]:g}")
-        ud = frame_unitary(p, t[i]) @ np.diag(
-            [1.0, cmath.exp(1j * math.fmod(n_omega * t[i], TWO_PI))])
-        p1[i] = (ud @ rho @ ud.conj().T)[0, 0].real
+    _check_physical(rhos, t)
+    # Row 0 of U D, D = diag(1, exp(i n omega t)): P1 = (U D rho D+ U+)[0, 0].
+    row = frame_unitary(p, t)[:, 0, :]
+    row[:, 1] *= photon_phase(t)
+    p1 = np.einsum("mi,mij,mj->m", row, rhos, row.conj()).real
     series = TimeSeries(t=t, p1=p1)
     return (series, rhos) if return_states else series

@@ -9,6 +9,7 @@ regressions are diagnosable from the one-line summary.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,11 +27,9 @@ from .floquet import (
     quasienergies,
 )
 from .gvv import gvv_effective, gvv_shifts
-from .model import DensityMatrix, DriveParams
+from .model import TWO_PI, DensityMatrix, DriveParams
 from .numerics import dominant_peaks
 from .open_system import DecayRates, evolve_gvv_lindblad, evolve_lab_lindblad
-
-TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True)
@@ -304,14 +303,18 @@ ALL_CHECKS = [
 
 
 def run_all(report=print) -> list[CheckResult]:
-    """Run every check in order, reporting one line each; never raises."""
+    """Run every check in order, reporting one line each; never raises.
+
+    Each reported line is the check's ``line()`` followed by its wall time.
+    """
     results = []
     for i, check in enumerate(ALL_CHECKS, start=1):
+        start = time.perf_counter()
         try:
             res = check()
         except RabiFloquetError as exc:
             res = CheckResult(i, check.__name__, False, f"raised {type(exc).__name__}: {exc}")
         results.append(res)
         if report is not None:
-            report(res.line())
+            report(f"{res.line()} [{time.perf_counter() - start:.2f} s]")
     return results

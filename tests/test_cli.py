@@ -5,6 +5,7 @@ import sys
 import jsonschema
 import pytest
 
+from rabifloquet import validation
 from rabifloquet.cli import main, output_schema
 
 
@@ -39,6 +40,19 @@ class TestDynamics:
         sidecar = tmp_path / "dyn.csv.warnings"
         assert sidecar.exists()
         assert "unavailable" in sidecar.read_text()
+
+    def test_undriven_point_degrades_series_only(self, tmp_path):
+        # A = 0: the xi condition is degenerate, so only the series column
+        # is left empty; nothing is driven out of the ground state
+        out = tmp_path / "dyn.csv"
+        proc = run_cli(["dynamics", "--omega", "1.7", "--amp", "0", "--periods", "2",
+                        "--samples", "30", "--out", str(out)])
+        assert proc.returncode == 0, proc.stderr
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert len(rows) == 30
+        assert all(row[2] == "" for row in rows)
+        assert all(float(row[1]) == 0.0 and float(row[3]) == 0.0 for row in rows)
+        assert "A = 0" in (tmp_path / "dyn.csv.warnings").read_text()
 
     def test_deterministic_output(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -117,6 +131,24 @@ class TestOtherSubcommands:
         lines = out.read_text().splitlines()
         assert lines[0] == "t,p1_lab_lindblad,p1_gvv_lindblad"
         assert len(lines) == 16
+
+
+class TestValidate:
+    def test_prints_each_line_with_wall_time_then_summary(self, monkeypatch, capsys):
+        def passing():
+            return validation.CheckResult(1, "stub pass", True, "ok")
+
+        def failing():
+            return validation.CheckResult(2, "stub fail", False, "off by 1")
+
+        monkeypatch.setattr(validation, "ALL_CHECKS", [passing, failing])
+        assert main(["validate"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 3
+        assert lines[0].startswith(passing().line() + " [")
+        assert lines[1].startswith(failing().line() + " [")
+        assert all(line.endswith(" s]") for line in lines[:2])
+        assert lines[2] == "1/2 checks passed"
 
 
 class TestExitCodes:

@@ -14,6 +14,7 @@ from rabifloquet.numerics import (
     bessel_table,
     dominant_peaks,
     eig_hermitian,
+    evolve_linear,
     evolve_ode,
     find_roots,
 )
@@ -192,6 +193,94 @@ class TestEvolveOde:
         with pytest.raises(ConvergenceError):
             evolve_ode(rhs, np.array([1.0 + 0j]), np.array([0.0, 1.0]),
                        rel_tol=1e-12, max_step=0.1)
+
+
+def _driven_hamiltonian(t):
+    # H(t) = 0.5 sigma_z + 0.8 cos(1.3 t) sigma_x at a scalar or array t
+    drive = 0.8 * np.cos(1.3 * np.asarray(t, dtype=float))
+    h = np.zeros(np.shape(drive) + (2, 2), dtype=complex)
+    h[..., 0, 0], h[..., 1, 1] = 0.5, -0.5
+    h[..., 0, 1] = h[..., 1, 0] = drive
+    return h
+
+
+_LOWER = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
+
+
+def _lindblad_rhs(t, y):
+    rho = y.reshape(2, 2)
+    h, lo = _driven_hamiltonian(t), _LOWER
+    lol = lo.conj().T @ lo
+    out = -1j * (h @ rho - rho @ h) + 0.3 * (2.0 * lo @ rho @ lo.conj().T - lol @ rho - rho @ lol)
+    return out.reshape(-1)
+
+
+def _lindblad_generator(times):
+    # row-major vec: vec(A rho B) = (A kron B^T) vec(rho)
+    eye, lo = np.eye(2), _LOWER
+    lol = lo.conj().T @ lo
+    decay = 0.3 * (2.0 * np.kron(lo, lo.conj()) - np.kron(lol, eye) - np.kron(eye, lol.T))
+    return np.array([-1j * (np.kron(h, eye) - np.kron(eye, h.T)) + decay
+                     for h in _driven_hamiltonian(times)])
+
+
+class _Passes:
+    """Counts integration passes by the calls that see the grid's first time."""
+
+    def __init__(self, fn, t0):
+        self.fn, self.t0, self.passes = fn, t0, 0
+
+    def __call__(self, *args):
+        first = args[0] if np.ndim(args[0]) == 0 else args[0][0]
+        self.passes += first == self.t0
+        return self.fn(*args)
+
+
+class TestEvolveLinear:
+    # (generator, rhs, y0, t_grid, max_step): a scalar decay, a driven
+    # 2x2 Hamiltonian on a non-uniform grid whose intervals take 1 to 26
+    # substeps, and a 4x4 Lindblad superoperator
+    CASES = [
+        (lambda ts: np.full((len(ts), 1, 1), -1.0 + 0j), lambda _, y: -y,
+         [1.0], np.linspace(0.0, 1.0, 11), 0.01),
+        (lambda ts: -1j * _driven_hamiltonian(ts), lambda t, y: -1j * (_driven_hamiltonian(t) @ y),
+         [0.0, 1.0], np.array([0.0, 0.03, 0.5, 1.7, 1.75, 3.0, 4.3]), 0.05),
+        (_lindblad_generator, _lindblad_rhs,
+         [0.0, 0.0, 0.0, 1.0], np.linspace(0.0, 6.0, 13) ** 1.2, 0.04),
+    ]
+
+    @pytest.mark.parametrize("case", range(len(CASES)))
+    def test_matches_evolve_ode_with_same_passes(self, case):
+        generator, rhs, y0, t, max_step = self.CASES[case]
+        gen, ode = _Passes(generator, t[0]), _Passes(rhs, t[0])
+        a = evolve_linear(gen, y0, t, rel_tol=1e-10, max_step=max_step)
+        b = evolve_ode(ode, y0, t, rel_tol=1e-10, max_step=max_step)
+        assert np.max(np.abs(a - b)) <= 1e-12
+        assert gen.passes == ode.passes >= 2
+
+    def test_steps_span_several_chunks(self):
+        # 5 periods at 400 steps each: 2000 steps in the first pass, many
+        # chunks, and intervals of 64, 764 and 1172 steps that straddle
+        # chunk boundaries
+        t = np.array([0.0, 1.0, 13.0, 5.0 * 2.0 * math.pi])
+        h0 = np.array([[0.4, 0.2], [0.2, -0.4]])
+        states = evolve_linear(lambda ts: np.broadcast_to(-1j * h0, (len(ts), 2, 2)),
+                               [1.0, 0.0], t, rel_tol=1e-11, max_step=2.0 * math.pi / 400.0)
+        ev, vec = np.linalg.eigh(h0)
+        exact = [vec @ (np.exp(-1j * ev * ti) * vec[0].conj()) for ti in t]
+        assert np.max(np.abs(states - np.array(exact))) <= 1e-10
+
+    @pytest.mark.parametrize("evolve, fn", [
+        (evolve_linear, lambda ts: np.full((len(ts), 1, 1), -50.0 + 0j)),
+        (evolve_ode, lambda _, y: -50.0 * y),
+    ])
+    def test_underflow_and_nonconvergence_raise(self, evolve, fn):
+        # RK4 is unstable for h * 50 > 2.79, so the passes never agree:
+        # the 1e-13 interval reaches the step floor on the 4th halving
+        with pytest.raises(ConvergenceError, match="underflow"):
+            evolve(fn, [1.0], [0.0, 1e-13, 1.0], rel_tol=1e-13)
+        with pytest.raises(ConvergenceError, match="no convergence"):
+            evolve(fn, [1.0], [0.0, 1.0], rel_tol=1e-13, max_halvings=2)
 
 
 class _Series:

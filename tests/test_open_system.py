@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from rabifloquet.errors import DomainError
+from rabifloquet.errors import ContractViolationError, DomainError
 from rabifloquet.gvv import frame_angle, frame_unitary, gvv_effective
 from rabifloquet.model import SIGMA_Y, SIGMA_Z, DensityMatrix, DriveParams
 from rabifloquet.numerics import evolve_ode
 from rabifloquet.open_system import (
     DecayRates,
+    _check_physical,
     evolve_gvv_lindblad,
     evolve_lab_lindblad,
     rotate_to_lab,
@@ -27,8 +28,8 @@ def dissipator(op, rho):
     return 2.0 * op @ rho @ od - od @ op @ rho - rho @ od @ op
 
 
-def rotating_frame_reference(p, d, t):
-    """Exact rotating-frame Lindblad route with lab P1 read-out.
+def rotating_frame_states(p, d, t):
+    """Exact rotating-frame Lindblad route; states in the rotated frame.
 
     Full time-dependent rotated Hamiltonian (omega0/2)(cos 2theta sigma_z
     - sin 2theta sigma_y), the frame of build_floquet_matrix_dut, and
@@ -44,8 +45,13 @@ def rotating_frame_reference(p, d, t):
         out += d.gamma_11 * dissipator(u.conj().T @ PROJ_UP @ u, rho)
         return out.reshape(-1)
 
-    rhos = evolve_ode(rhs, GROUND.matrix.reshape(-1), t, rel_tol=1e-9,
+    return evolve_ode(rhs, GROUND.matrix.reshape(-1), t, rel_tol=1e-9,
                       max_step=p.period / 400.0).reshape(len(t), 2, 2)
+
+
+def rotating_frame_reference(p, d, t):
+    """Lab P1 of ``rotating_frame_states``."""
+    rhos = rotating_frame_states(p, d, t)
     return np.array([(frame_unitary(p, ti) @ r @ frame_unitary(p, ti).conj().T)[0, 0].real
                      for ti, r in zip(t, rhos)])
 
@@ -134,6 +140,21 @@ class TestLabLindblad:
             assert np.min(np.linalg.eigvalsh(rho).real) >= -1e-8
 
 
+class TestCheckPhysical:
+    def test_names_the_first_bad_sample(self):
+        t = np.array([0.0, 0.1, 0.2, 0.3])
+        rhos = np.array([np.diag(v) for v in ([0.3, 0.7], [0.3, 0.7], [1.2, -0.2], [0.5, 0.6])],
+                        dtype=complex)
+        _check_physical(rhos[:2], t[:2])
+        with pytest.raises(ContractViolationError, match=r"^negative population at t=0\.2$"):
+            _check_physical(rhos, t)
+        rhos[1, 0, 1] = 0.1j
+        with pytest.raises(ContractViolationError, match=r"^Hermiticity loss at t=0\.1$"):
+            _check_physical(rhos, t)
+        with pytest.raises(ContractViolationError, match=r"^trace drift at t=0\.3: 1\.1"):
+            _check_physical(rhos[[0, 3]], t[[0, 3]])
+
+
 class TestRotatingFrameReference:
     def test_matches_lab_lindblad(self):
         # rotating the channels as U+ L U is exact: only integrator error remains
@@ -191,10 +212,20 @@ class TestRotateToLab:
         rho = DensityMatrix(np.array([[0.3, 0.1 + 0.2j], [0.1 - 0.2j, 0.7]]))
         t = 1.37
         fwd = rotate_to_lab(rho, p, t)
-        from rabifloquet.gvv import frame_unitary
-        u = frame_unitary(p, t)
-        back = u.conj().T @ fwd.matrix @ u
+        v = SIGMA_Z @ frame_unitary(p, t)
+        back = v.conj().T @ fwd.matrix @ v
         assert np.allclose(back, rho.matrix, atol=1e-12)
+
+    def test_coherence_matches_lab_lindblad(self):
+        # U alone flips the sign of rho_01 (+0.1824 - 0.0413i here)
+        p = DriveParams(1.0, 3.0, 1.0)
+        t = np.linspace(0.0, 2.3, 24)
+        for d in (DecayRates(0.0, 0.0), DecayRates(Gamma_10=0.5, gamma_11=0.1)):
+            rot = rotating_frame_states(p, d, t)[-1]
+            _, lab = evolve_lab_lindblad(p, d, GROUND, t, return_states=True)
+            out = rotate_to_lab(DensityMatrix(0.5 * (rot + rot.conj().T)), p, t[-1])
+            assert abs(lab[-1, 0, 1]) > 0.05
+            assert abs(out.matrix[0, 1] - lab[-1, 0, 1]) <= 1e-7
 
     def test_trace_and_spectrum_preserved(self):
         p = DriveParams(1.0, 8.0, 1.1)
