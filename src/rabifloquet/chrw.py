@@ -85,24 +85,16 @@ def solve_xi(
     return find_roots(_xi_residual(p), 0.0, 1.0, scan_points=scan_points, tol=tol)
 
 
-def solution_count_map(omega_range, A_range, resolution=None) -> SolutionCountMap:
+def solution_count_map(omega_range, A_range) -> SolutionCountMap:
     """Number of xi roots per (omega, A) grid cell.
 
-    ``omega_range`` and ``A_range`` are either explicit 1-d grids or
-    (lo, hi) pairs combined with ``resolution`` as the step.  Cells with
+    ``omega_range`` and ``A_range`` are explicit 1-d grids.  Cells with
     A = 0 are assigned one solution from the analytic weak-drive limit.
     """
-    def as_axis(rng):
-        arr = np.asarray(rng, dtype=float)
-        if resolution is not None and arr.shape == (2,):
-            lo, hi = float(arr[0]), float(arr[1])
-            return np.arange(lo, hi + 0.5 * resolution, resolution)
-        if arr.ndim != 1 or len(arr) == 0:
-            raise DomainError("range must be a 1-d grid or a (lo, hi) pair with resolution")
-        return arr
-
-    omega_axis = as_axis(omega_range)
-    A_axis = as_axis(A_range)
+    omega_axis = np.asarray(omega_range, dtype=float)
+    A_axis = np.asarray(A_range, dtype=float)
+    if omega_axis.ndim != 1 or A_axis.ndim != 1 or len(omega_axis) == 0 or len(A_axis) == 0:
+        raise DomainError("omega and A ranges must be non-empty 1-d grids")
     if np.any(omega_axis <= 0) or np.any(A_axis < 0):
         raise DomainError("omega values must be positive and A values nonnegative")
     counts = np.zeros((len(A_axis), len(omega_axis)), dtype=int)

@@ -144,6 +144,9 @@ def _write_output(cfg: dict, columns: dict, warnings: list[str]) -> None:
             print(f"warning: {w}", file=sys.stderr)
 
 
+_NO_DRIVE = "analytic series unavailable: no drive (A = 0), the xi condition is degenerate"
+
+
 def _time_grid(period: float, periods: float, samples: int) -> np.ndarray:
     return np.linspace(0.0, periods * period, samples)
 
@@ -162,7 +165,7 @@ def _cmd_dynamics(cfg: dict, parser) -> int:
     warnings: list[str] = []
     chrw_col = [None] * len(t)
     if p.A == 0.0:
-        warnings.append("analytic series unavailable: no drive (A = 0), the xi condition is degenerate")
+        warnings.append(_NO_DRIVE)
     else:
         try:
             sol = chrw_solution(p)
@@ -206,10 +209,13 @@ def _cmd_spectrum(cfg: dict, parser) -> int:
         eff = gvv_effective(p, None if ksum is None else int(ksum))
         emit(amp, make_comb(eff.Omega, omega, n_max), "gvv")
         emit(amp, make_comb(eff.Omega_grwa, omega, n_max), "grwa")
+        if p.A == 0.0:
+            warnings.append(f"A={amp:g}: {_NO_DRIVE}")
+            continue
         try:
             sol = chrw_solution(p)
             emit(amp, make_comb(sol.Omega_tilde, omega, n_max), "chrw")
-        except (NoSolutionError, AmbiguousSolutionError, RabiFloquetError) as exc:
+        except (NoSolutionError, AmbiguousSolutionError) as exc:
             warnings.append(f"A={amp:g}: analytic series unavailable: {exc}")
     _write_output(cfg, cols, warnings)
     return 0

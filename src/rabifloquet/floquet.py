@@ -1,8 +1,10 @@
 """Exact numerical route: truncated Floquet matrices and their dynamics.
 
-Builds the lab-frame Floquet matrix, extracts folded quasienergies, and
-evaluates the transition probability both from the Floquet eigenproblem
-and by direct time integration of the Schroedinger equation.
+Builds truncated Floquet matrices from the Fourier blocks of a periodic
+Hamiltonian (the lab frame's here, the doubly rotated frame's in ``gvv``),
+extracts folded quasienergies, and evaluates the transition probability
+both from the Floquet eigenproblem and by direct time integration of the
+Schroedinger equation.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ClusteringError, ContractViolationError, DomainError
-from .model import DriveParams, PureState, TimeSeries, hamiltonian_lab
+from .model import SIGMA_X, SIGMA_Z, DriveParams, PureState, TimeSeries, hamiltonian_lab
 from .numerics import eig_hermitian, evolve_linear
 
 DEFAULT_TRUNCATION = 30
@@ -28,19 +30,13 @@ class FloquetMatrix:
     """
 
     truncation: int
-    frame: str  # "lab" or "dut"
     matrix: np.ndarray = field(repr=False)
-    bandwidth: int = 1  # Fourier range of non-negligible couplings
-
-    @property
-    def dimension(self) -> int:
-        return 2 * (2 * self.truncation + 1)
+    bandwidth: int  # Fourier range of non-negligible couplings
 
 
 @dataclass(frozen=True)
 class QuasienergySpectrum:
-    raw_eigenvalues: np.ndarray = field(repr=False)
-    eigenvectors: np.ndarray = field(repr=False)
+    folded_interior: np.ndarray = field(repr=False)  # sorted, in [-omega/2, omega/2)
     folded_pair: tuple  # (q_a, q_b) in [-omega/2, omega/2)
     gap: float          # folded into [0, omega/2]
 
@@ -71,35 +67,44 @@ def fold_to_even_comb(x, omega: float):
     return float(r) if r.ndim == 0 else r
 
 
-def build_floquet_matrix_lab(p: DriveParams, N: int = DEFAULT_TRUNCATION) -> FloquetMatrix:
-    """Lab-frame truncated Floquet matrix.
+def floquet_matrix(p: DriveParams, components: dict, N: int) -> FloquetMatrix:
+    """Truncated Floquet (Shirley) matrix of H(t) = sum_k H_k exp(i k omega t).
 
-    Diagonal blocks diag(omega0/2, -omega0/2) + n omega I; (A/4) sigma_x
-    coupling between blocks with |n - m| = 1.
+    ``components`` maps the harmonic k to its 2x2 Fourier block H_k, with
+    H_{-k} = H_k^T for a real symmetric result.  Block (n, m) is
+    H_{n-m} + n omega I; harmonics with |k| > 2N fall outside the matrix.
     """
     if N < 1:
         raise DomainError("truncation N must be >= 1")
-    dim = 2 * (2 * N + 1)
-    h = np.zeros((dim, dim))
-    for b, n in enumerate(range(-N, N + 1)):
-        r = 2 * b
-        h[r, r] = 0.5 * p.omega0 + n * p.omega
-        h[r + 1, r + 1] = -0.5 * p.omega0 + n * p.omega
-        if b + 1 <= 2 * N:
-            # sigma_x block between Fourier neighbours
-            h[r, r + 3] = h[r + 3, r] = 0.25 * p.A
-            h[r + 1, r + 2] = h[r + 2, r + 1] = 0.25 * p.A
+    size = 2 * N + 1
+    h = np.zeros((2 * size, 2 * size))
+    blocks = h.reshape(size, 2, size, 2)  # view: blocks[n + N, :, m + N, :]
+    for k, hk in components.items():
+        rows = np.arange(max(k, 0), size + min(k, 0))
+        blocks[rows, :, rows - k, :] = hk
+    h[np.diag_indices(2 * size)] += np.repeat(np.arange(-N, N + 1) * p.omega, 2)
     # Eigenstates spread over ~A/omega photon sidebands, so truncation
     # effects reach that far in from the edges even with nearest-neighbour
     # coupling; record it so the interior window is chosen accordingly.
     bandwidth = min(2 * N, int(math.ceil(p.A / p.omega)) + 8)
-    return FloquetMatrix(truncation=N, frame="lab", matrix=h, bandwidth=bandwidth)
+    return FloquetMatrix(truncation=N, matrix=h, bandwidth=bandwidth)
 
 
-def _interior_mask(raw: np.ndarray, N: int, omega: float, bandwidth: int = 1) -> np.ndarray:
+def build_floquet_matrix_lab(p: DriveParams, N: int = DEFAULT_TRUNCATION) -> FloquetMatrix:
+    """Lab-frame truncated Floquet matrix.
+
+    H_0 = (omega0/2) sigma_z and H_{+-1} = (A/4) sigma_x: diagonal blocks
+    diag(omega0/2, -omega0/2) + n omega I, sigma_x coupling between
+    Fourier neighbours.
+    """
+    coupling = 0.25 * p.A * SIGMA_X.real
+    return floquet_matrix(p, {0: 0.5 * p.omega0 * SIGMA_Z.real, 1: coupling, -1: coupling}, N)
+
+
+def _interior_mask(raw: np.ndarray, F: FloquetMatrix, omega: float) -> np.ndarray:
     # Exclude eigenvalues influenced by the truncation edge: keep the
     # window untouched by couplings reaching in from the outermost blocks.
-    margin = N - bandwidth - 2
+    margin = F.truncation - F.bandwidth - 2
     return np.abs(raw) <= margin * omega if margin >= 1 else np.ones_like(raw, dtype=bool)
 
 
@@ -111,9 +116,8 @@ def quasienergies(F: FloquetMatrix, omega: float, cluster_tol: float = 1e-8) -> 
     quasienergies and their circular distance (folded into [0, omega/2])
     is the gap.
     """
-    dec = eig_hermitian(F.matrix)
-    raw = dec.eigenvalues
-    interior = raw[_interior_mask(raw, F.truncation, omega, F.bandwidth)]
+    raw = eig_hermitian(F.matrix).eigenvalues
+    interior = raw[_interior_mask(raw, F, omega)]
     if len(interior) == 0:
         raise ClusteringError("no interior eigenvalues; increase the truncation N")
     folded = np.sort(fold_to_zone(interior, omega))
@@ -143,10 +147,7 @@ def quasienergies(F: FloquetMatrix, omega: float, cluster_tol: float = 1e-8) -> 
         q_a, q_b = (fold_to_zone(c, omega) for c in centers)
         d = abs(q_a - q_b) % omega
         gap = min(d, omega - d)
-    return QuasienergySpectrum(
-        raw_eigenvalues=raw, eigenvectors=dec.eigenvectors,
-        folded_pair=(q_a, q_b), gap=gap,
-    )
+    return QuasienergySpectrum(folded_interior=folded, folded_pair=(q_a, q_b), gap=gap)
 
 
 def _mode_weights(F: FloquetMatrix) -> tuple[np.ndarray, np.ndarray]:
@@ -188,16 +189,14 @@ def dynamic_base(p: DriveParams, N: int = DEFAULT_TRUNCATION, weight_cutoff: flo
     q, c = _mode_weights(build_floquet_matrix_lab(p, N))
     keep = np.abs(c) > weight_cutoff
     q, c = q[keep], c[keep]
-    best_w, best_f = 0.0, 0.0
-    for k in range(len(q)):
-        for j in range(k + 1, len(q)):
-            f = abs(q[k] - q[j])
-            if abs(f - p.omega * round(f / p.omega)) < 1e-6 * p.omega:
-                continue  # harmonic comb line, carries no base information
-            w = abs(c[k]) * abs(c[j])
-            if w > best_w:
-                best_w, best_f = w, f
-    return fold_to_even_comb(best_f, p.omega) if best_w > 0.0 else 0.0
+    k, j = np.triu_indices(len(q), 1)
+    f = np.abs(q[k] - q[j])
+    # harmonic comb lines carry no base information
+    harmonic = np.abs(f - p.omega * np.round(f / p.omega)) < 1e-6 * p.omega
+    w = np.where(harmonic, 0.0, np.abs(c[k]) * np.abs(c[j]))
+    if not np.any(w > 0.0):
+        return 0.0
+    return fold_to_even_comb(f[np.argmax(w)], p.omega)  # first maximum on ties
 
 
 def p1_direct(

@@ -24,9 +24,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, InternalConsistencyError, MultiphotonResonanceError
-from .floquet import DEFAULT_TRUNCATION, FloquetMatrix
-from .model import IDENTITY, SIGMA_X, TWO_PI, DriveParams
-from .numerics import bessel_j, bessel_table, eig_hermitian
+from .floquet import DEFAULT_TRUNCATION, FloquetMatrix, floquet_matrix
+from .model import IDENTITY, SIGMA_X, SIGMA_Z, TWO_PI, DriveParams
+from .numerics import bessel_table, eig_hermitian
 
 _DENOMINATOR_FLOOR = 1e-9
 
@@ -130,9 +130,8 @@ def gvv_effective(p: DriveParams, K: int | None = None) -> GvvEffective:
     if K is None:
         K = default_k_sum(p)
     w0, w = p.omega0, p.omega
-    j0 = float(bessel_j(0, p.A / p.omega))
-    j1 = float(bessel_j(1, p.A / p.omega))
     table = _shift_table(p, K)
+    j0, j1 = table[0], table[1]
     n = _partner_photon(p, table)
     d1, d0, d10, d01 = _shifts(p, K, n, table)
     jn = n * j1  # coupling of |1, 0> to |0, n> is -J_n omega0 / 2
@@ -165,35 +164,16 @@ def build_floquet_matrix_dut(p: DriveParams, N: int = DEFAULT_TRUNCATION) -> Flo
     """Floquet matrix in the doubly rotated frame.
 
     Row layout matches the lab-frame builder: block b = n + N holds the
-    excited-like row 2b and the ground-like row 2b + 1.  Diagonal entries
-    are n omega +- J_0 omega0 / 2; the harmonic-k coupling is diagonal
-    (+J_k, -J_k) omega0 / 2 for even k and purely off-diagonal for odd k.
+    excited-like row 2b and the ground-like row 2b + 1.  The Fourier block
+    of harmonic k is (omega0/2) J_{-k}(A/omega) times sigma_z for even k
+    and times [[0, -1], [1, 0]] for odd k, so the diagonal entries are
+    n omega +- J_0 omega0 / 2.
     """
-    if N < 1:
-        raise DomainError("truncation N must be >= 1")
     table = bessel_table(p.A / p.omega, 2 * N)
-    dim = 2 * (2 * N + 1)
-    h = np.zeros((dim, dim))
-    w0 = p.omega0
-    for bn, n in enumerate(range(-N, N + 1)):
-        rn = 2 * bn
-        h[rn, rn] = n * p.omega + 0.5 * table[0] * w0
-        h[rn + 1, rn + 1] = n * p.omega - 0.5 * table[0] * w0
-        for bm in range(bn + 1, 2 * N + 1):
-            m = bm - N
-            k = m - n
-            if k > 2 * N:
-                break
-            rm = 2 * bm
-            jk = table[k]
-            if k % 2 == 0:
-                h[rn, rm] = h[rm, rn] = 0.5 * jk * w0
-                h[rn + 1, rm + 1] = h[rm + 1, rn + 1] = -0.5 * jk * w0
-            else:
-                h[rn, rm + 1] = h[rm + 1, rn] = -0.5 * jk * w0
-                h[rn + 1, rm] = h[rm, rn + 1] = 0.5 * jk * w0
-    bandwidth = min(2 * N, int(math.ceil(p.A / p.omega)) + 8)
-    return FloquetMatrix(truncation=N, frame="dut", matrix=h, bandwidth=bandwidth)
+    odd = np.array([[0.0, -1.0], [1.0, 0.0]])
+    components = {k: 0.5 * table[-k] * p.omega0 * (SIGMA_Z.real if k % 2 == 0 else odd)
+                  for k in range(-2 * N, 2 * N + 1)}
+    return floquet_matrix(p, components, N)
 
 
 # ---------------------------------------------------------------------------

@@ -183,20 +183,19 @@ def find_roots(
 
     Every sign change between adjacent scan samples is refined to a
     bracket of width <= tol; exact zeros landing on grid points are
-    reported once.  ``f`` may accept arrays (used for the scan) or only
-    scalars.
+    reported once.  ``f`` must be vectorised: the scan calls it once on
+    the array of scan points, bisection on scalars.
     """
     if not lo < hi:
         raise DomainError(f"invalid bracket [{lo}, {hi}]")
     if scan_points < 2:
         raise DomainError("scan_points must be >= 2")
     xs = np.linspace(lo, hi, scan_points)
-    try:
-        ys = np.asarray(f(xs), dtype=float)
-        if ys.shape != xs.shape:
-            raise TypeError
-    except (TypeError, ValueError):
-        ys = np.array([float(f(x)) for x in xs])
+    ys = np.asarray(f(xs), dtype=float)
+    if ys.shape != xs.shape:
+        raise ContractViolationError(
+            f"f returned shape {ys.shape} on {scan_points} scan points; it must be vectorised"
+        )
     if not np.all(np.isfinite(ys)):
         bad = xs[~np.isfinite(ys)][0]
         raise EvaluationError(f"non-finite value at x={bad}", abscissa=float(bad))
@@ -223,7 +222,6 @@ def find_roots(
 
 @dataclass(frozen=True)
 class EigenDecomposition:
-    dimension: int
     eigenvalues: np.ndarray = field(repr=False)   # ascending
     eigenvectors: np.ndarray = field(repr=False)  # columns, orthonormal
 
@@ -242,11 +240,9 @@ def eig_hermitian(matrix) -> EigenDecomposition:
     if float(np.max(np.abs(h - h.conj().T))) > 1e-10 * scale:
         raise ContractViolationError("matrix is not Hermitian within tolerance")
     evals, evecs = np.linalg.eigh(h)
-    for j in range(evecs.shape[1]):
-        i = int(np.argmax(np.abs(evecs[:, j])))
-        pivot = evecs[i, j]
-        evecs[:, j] *= pivot.conj() / abs(pivot)
-    return EigenDecomposition(dimension=h.shape[0], eigenvalues=evals, eigenvectors=evecs)
+    pivot = evecs[np.argmax(np.abs(evecs), axis=0), np.arange(evecs.shape[1])]
+    evecs *= pivot.conj() / np.abs(pivot)
+    return EigenDecomposition(eigenvalues=evals, eigenvectors=evecs)
 
 
 # ---------------------------------------------------------------------------

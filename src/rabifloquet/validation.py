@@ -20,7 +20,6 @@ from .floquet import (
     build_floquet_matrix_lab,
     dynamic_base,
     fold_to_even_comb,
-    fold_to_zone,
     make_comb,
     p1_direct,
     p1_floquet,
@@ -271,14 +270,9 @@ def check_physicality() -> CheckResult:
     worst_rep = 0.0
     for omega, amp in [(1.0, 1.0), (0.6, 2.0), (1.0, 5.0)]:
         pp = DriveParams(1.0, amp, omega)
-        F = build_floquet_matrix_lab(pp, 30)
-        spec = quasienergies(F, pp.omega)
+        spec = quasienergies(build_floquet_matrix_lab(pp, 30), pp.omega)
         centers = np.array(spec.folded_pair)
-        raw = spec.raw_eigenvalues
-        margin = 30 - F.bandwidth - 2
-        interior = raw[np.abs(raw) <= margin * pp.omega] if margin >= 1 else raw
-        folded = fold_to_zone(interior, pp.omega)
-        for q in folded:
+        for q in spec.folded_interior:
             dists = np.abs(q - centers)
             dists = np.minimum(dists, pp.omega - dists)
             worst_rep = max(worst_rep, float(np.min(dists)) / pp.omega)

@@ -72,7 +72,7 @@ class TestSolutionStructure:
         assert grid.counts[amp_idx[0.0], omega_idx[1.0]] == 1  # analytic weak-drive limit
 
     def test_count_map_range_form(self):
-        grid = solution_count_map((0.5, 1.0), (0.5, 1.0), resolution=0.25)
+        grid = solution_count_map([0.5, 0.75, 1.0], [0.5, 0.75, 1.0])
         assert grid.counts.shape == (3, 3)
         assert np.all(grid.counts == 1)
 

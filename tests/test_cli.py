@@ -121,6 +121,14 @@ class TestOtherSubcommands:
         assert proc.returncode == 0, proc.stderr
         rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
         assert {row[0] for row in rows if row[3] == "gvv"} == {"0", "0.5"}
+        assert {row[0] for row in rows if row[3] == "chrw"} == {"0.5"}
+        # A = 0 has no xi condition; it is reported, not caught as an error
+        proc = run_cli(["spectrum", "--omega", "1", "--amp-range", "0:0.5:0.5"])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.splitlines() == [
+            "warning: A=0: analytic series unavailable: no drive (A = 0), "
+            "the xi condition is degenerate"
+        ]
 
     def test_open_two_traces(self, tmp_path):
         out = tmp_path / "open.csv"

@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from rabifloquet import floquet
 from rabifloquet.errors import DomainError
 from rabifloquet.floquet import (
     build_floquet_matrix_lab,
     dynamic_base,
+    floquet_matrix,
     fold_to_even_comb,
     fold_to_zone,
     make_comb,
@@ -15,6 +17,7 @@ from rabifloquet.floquet import (
     p1_floquet,
     quasienergies,
 )
+from rabifloquet.gvv import build_floquet_matrix_dut
 from rabifloquet.model import DriveParams, PureState
 from rabifloquet.numerics import dominant_peaks
 
@@ -50,6 +53,36 @@ class TestMatrixStructure:
             build_floquet_matrix_lab(DriveParams(1.0, 1.0, 1.0), 0)
 
 
+class TestFloquetMatrix:
+    def test_blocks_are_fourier_components_plus_photon_energy(self):
+        # a non-symmetric H_2 with H_-2 = H_2^T, beside the usual H_0, H_+-1
+        p = DriveParams(1.0, 1.0, 0.7)
+        comps = {0: np.array([[0.3, 0.1], [0.1, -0.3]]),
+                 1: np.array([[0.0, 0.2], [0.2, 0.0]]),
+                 -1: np.array([[0.0, 0.2], [0.2, 0.0]]),
+                 2: np.array([[0.05, 0.11], [-0.07, 0.13]])}
+        comps[-2] = comps[2].T
+        N = 3
+        F = floquet_matrix(p, comps, N)
+        assert F.matrix.shape == (14, 14)
+        assert np.array_equal(F.matrix, F.matrix.T)
+        for n in range(-N, N + 1):
+            for m in range(-N, N + 1):
+                block = F.matrix[2 * (n + N):2 * (n + N) + 2, 2 * (m + N):2 * (m + N) + 2]
+                expected = comps.get(n - m, np.zeros((2, 2)))
+                if n == m:
+                    expected = expected + n * p.omega * np.eye(2)
+                assert np.array_equal(block, expected), (n, m)
+
+    def test_rejects_zero_truncation(self):
+        p = DriveParams(1.0, 1.0, 1.0)
+        with pytest.raises(DomainError):
+            floquet_matrix(p, {0: np.eye(2)}, 0)
+        for N in (0, -1):
+            with pytest.raises(DomainError):
+                build_floquet_matrix_dut(p, N)
+
+
 class TestQuasienergies:
     def test_static_fold(self):
         p = DriveParams(1.0, 0.0, 0.7)
@@ -60,15 +93,20 @@ class TestQuasienergies:
 
     def test_replica_symmetry(self):
         p = DriveParams(1.0, 2.0, 0.6)
-        F = build_floquet_matrix_lab(p, 30)
-        spec = quasienergies(F, p.omega)
+        spec = quasienergies(build_floquet_matrix_lab(p, 30), p.omega)
         centers = np.array(spec.folded_pair)
-        margin = 30 - F.bandwidth - 2
-        interior = spec.raw_eigenvalues[np.abs(spec.raw_eigenvalues) <= margin * p.omega]
-        for q in fold_to_zone(interior, p.omega):
+        for q in spec.folded_interior:
             d = np.abs(q - centers)
             d = np.minimum(d, p.omega - d)
             assert np.min(d) <= 1e-9 * p.omega
+
+    def test_folded_interior_sorted_in_zone(self):
+        p = DriveParams(1.0, 5.0, 1.0)
+        folded = quasienergies(build_floquet_matrix_lab(p, 30), p.omega).folded_interior
+        assert len(folded) > 2
+        assert np.all(np.diff(folded) >= 0.0)
+        assert np.all(folded >= -p.omega / 2.0)
+        assert np.all(folded < p.omega / 2.0)
 
     def test_truncation_convergence(self):
         for omega, amp in [(0.6, 2.0), (1.0, 5.0), (3.0, 10.0), (0.5, 0.5)]:
@@ -153,6 +191,34 @@ class TestCombs:
             if abs(folded - base) <= TWO_PI * bin_width:
                 base_seen = True
         assert base_seen, "no spectral weight at the extracted fundamental"
+
+    def test_zero_drive_has_no_base(self):
+        # no mode pair carries weight at A = 0
+        assert dynamic_base(DriveParams(1.0, 0.0, 0.6), 10) == 0.0
+
+    def test_base_matches_pair_loop(self):
+        # reference: the strongest non-harmonic pair, first maximum in
+        # (k, j) order, found pair by pair
+        for amp, omega in [(2.0, 0.6), (3.0, 0.6), (5.0, 1.0), (7.3, 0.83)]:
+            p = DriveParams(1.0, amp, omega)
+            q, c = floquet._mode_weights(build_floquet_matrix_lab(p, 30))
+            keep = np.abs(c) > 1e-10
+            q, c = q[keep], c[keep]
+            best_w, best_f = 0.0, 0.0
+            for k in range(len(q)):
+                for j in range(k + 1, len(q)):
+                    f = abs(q[k] - q[j])
+                    if abs(f - omega * round(f / omega)) < 1e-6 * omega:
+                        continue
+                    if abs(c[k]) * abs(c[j]) > best_w:
+                        best_w, best_f = abs(c[k]) * abs(c[j]), f
+            assert dynamic_base(p, 30) == fold_to_even_comb(best_f, omega)
+
+    def test_base_ties_keep_the_first_pair(self, monkeypatch):
+        # equal weights on every pair: the first pair in (k, j) order wins
+        modes = (np.array([0.0, 0.3, 0.5]), np.ones(3))
+        monkeypatch.setattr(floquet, "_mode_weights", lambda F: modes)
+        assert dynamic_base(DriveParams(1.0, 1.0, 1.7), 3) == pytest.approx(0.3)
 
     def test_numeric_comb_covers_peaks(self):
         p = DriveParams(1.0, 2.0, 0.6)

@@ -120,6 +120,14 @@ class TestFindRoots:
             find_roots(lambda x: np.where(np.asarray(x) > 0.5, np.nan, x - 0.1),
                        0.0, 1.0)
 
+    def test_unvectorised_function_rejected(self):
+        # a scan result of the wrong shape is a caller bug, not a cue to
+        # re-evaluate point by point
+        with pytest.raises(ContractViolationError):
+            find_roots(lambda x: 0.5, 0.0, 1.0)
+        with pytest.raises(ContractViolationError):
+            find_roots(lambda x: np.sum(x) - 1.0, 0.0, 1.0)
+
 
 class TestEigHermitian:
     def test_pauli_z(self):
