@@ -61,23 +61,39 @@ def _bessel_backward(nmax: int, x: np.ndarray) -> np.ndarray:
     start = _miller_start_order(nmax, float(xs.max()))
     jp = np.zeros_like(xs)            # J_{k+1}
     jc = np.full_like(xs, 1e-30)      # J_k
+    jm = np.empty_like(xs)            # J_{k-1}, then the next free buffer
+    twice = np.empty_like(xs)
     norm = np.zeros_like(xs)
     vals = np.zeros((nmax + 1, xs.size))
+    # Running bounds on max |J_k| and max |J_{k+1}| from
+    # |J_{k-1}| <= (2k / min x) |J_k| + |J_{k+1}|: the arrays are searched
+    # for values past the rescale limit only where the bound allows one,
+    # so rescaling happens at the same steps as with a search every step.
+    x_min = float(xs.min())
+    bound_c, bound_p = 1e-30, 0.0
+    # In-place form of jm = (2k / xs) * jc - jp: the same operations in the
+    # same order, so the values are those of the allocating expression.
     for k in range(start, 0, -1):
-        jm = (2.0 * k / xs) * jc - jp
-        jp, jc = jc, jm               # jc is now J_{k-1}
+        np.divide(2.0 * k, xs, out=jm)
+        jm *= jc
+        jm -= jp
+        jp, jc, jm = jc, jm, jp       # jc is now J_{k-1}
+        bound_c, bound_p = (2.0 * k / x_min) * bound_c + bound_p, bound_c
         order = k - 1
         if order <= nmax:
             vals[order] = jc
         if order > 0 and order % 2 == 0:
-            norm += 2.0 * jc
-        big = np.abs(jc) > _RESCALE_LIMIT
-        if np.any(big):
-            scale = np.where(big, _RESCALE_LIMIT, 1.0)
-            jp /= scale
-            jc /= scale
-            norm /= scale
-            vals[:, big] /= _RESCALE_LIMIT
+            np.multiply(2.0, jc, out=twice)
+            norm += twice
+        if bound_c > 0.5 * _RESCALE_LIMIT:
+            bound_c = max(float(jc.max()), -float(jc.min()))
+            if bound_c > _RESCALE_LIMIT:
+                big = np.abs(jc) > _RESCALE_LIMIT
+                jp[big] /= _RESCALE_LIMIT
+                jc[big] /= _RESCALE_LIMIT
+                norm[big] /= _RESCALE_LIMIT
+                vals[:, big] /= _RESCALE_LIMIT
+                bound_c = _RESCALE_LIMIT
     norm += jc                        # add J_0
     vals /= norm
     out[:, nonzero] = vals
@@ -147,7 +163,7 @@ def bessel_table(x: float, max_order: int) -> BesselTable:
 
 @dataclass(frozen=True)
 class RootSet:
-    """Sorted roots found on a bracket by scan + bisection."""
+    """Sorted roots found on a bracket by scan + bracket refinement."""
 
     roots: tuple
     bracket: tuple
@@ -157,34 +173,72 @@ class RootSet:
         return len(self.roots)
 
 
-def _bisect(f, a: float, b: float, fa: float, fb: float, tol: float) -> float:
-    while b - a > tol:
-        m = 0.5 * (a + b)
-        fm = f(m)
-        if not math.isfinite(fm):
-            raise EvaluationError(f"non-finite value at x={m}", abscissa=m)
-        if fm == 0.0:
-            return m
-        if fa * fm < 0.0:
-            b, fb = m, fm
-        else:
-            a, fa = m, fm
-    return 0.5 * (a + b)
+def _check_finite(x: np.ndarray, y: np.ndarray) -> None:
+    if not np.all(np.isfinite(y)):
+        bad = x[~np.isfinite(y)][0]
+        raise EvaluationError(f"non-finite value at x={bad}", abscissa=float(bad))
+
+
+def _refine(f, a: np.ndarray, b: np.ndarray, fa: np.ndarray, fb: np.ndarray, tol: float) -> np.ndarray:
+    """Shrink the sign-change brackets [a, b] together until each is <= tol wide.
+
+    Each round calls ``f`` once, on the trial points of all open brackets.
+    A trial point is the Illinois regula falsi one (Dowell & Jarratt, BIT
+    11, 168, 1971): the root of the secant through the bracket ends, where
+    the end the last secant point did not replace enters with its value
+    halved once for every repeat of that side in a row.  Rounds come in
+    pairs; in the second round of a pair a bracket the first did not
+    halve is bisected instead, so every pair at least halves every
+    bracket and no bracket takes more than twice bisection's calls.
+    Returns the midpoint of each final bracket, or the trial point where
+    ``f`` is exactly zero.
+    """
+    roots = np.empty_like(a)
+    rows = np.arange(len(a))       # bracket each open row refines
+    side = np.zeros(len(a))        # -1 / +1: the last secant point replaced a / b
+    weight = np.ones(len(a))       # factor on the value at the other end
+    ref = b - a                    # width at the start of the current pair
+    second = False
+    while True:
+        narrow = b - a <= tol
+        roots[rows[narrow]] = 0.5 * (a[narrow] + b[narrow])
+        rows, a, b, fa, fb, side, weight, ref = (
+            v[~narrow] for v in (rows, a, b, fa, fb, side, weight, ref))
+        if not rows.size:
+            return roots
+        bisect = (b - a > 0.5 * ref) if second else np.zeros(len(rows), dtype=bool)
+        ga = np.where(side > 0, weight * fa, fa)
+        gb = np.where(side < 0, weight * fb, fb)
+        x = np.where(bisect, 0.5 * (a + b), np.clip(a + (b - a) * (ga / (ga - gb)), a, b))
+        fx = np.asarray(f(x), dtype=float)
+        _check_finite(x, fx)
+        on_a = np.signbit(fx) == np.signbit(fa)
+        secant_side = np.where(on_a, -1.0, 1.0)
+        weight = np.where(bisect, weight, np.where(secant_side == side, 0.5 * weight, 1.0))
+        side = np.where(bisect, side, secant_side)
+        hit = fx == 0.0            # an exact zero closes its bracket on x
+        a, fa = np.where(on_a | hit, x, a), np.where(on_a, fx, fa)
+        b, fb = np.where(on_a & ~hit, b, x), np.where(on_a, fb, fx)
+        if second:
+            ref = b - a
+        second = not second
 
 
 def find_roots(
-    f: Callable[[float], float],
+    f: Callable[[np.ndarray], np.ndarray],
     lo: float,
     hi: float,
     scan_points: int = 4000,
     tol: float = 1e-10,
 ) -> RootSet:
-    """Roots of ``f`` on [lo, hi] by uniform scan and bisection refinement.
+    """Roots of ``f`` on [lo, hi] by uniform scan and bracket refinement.
 
     Every sign change between adjacent scan samples is refined to a
-    bracket of width <= tol; exact zeros landing on grid points are
+    bracket of width <= tol (all of them together, by safeguarded
+    Illinois regula falsi); exact zeros landing on grid points are
     reported once.  ``f`` must be vectorised: the scan calls it once on
-    the array of scan points, bisection on scalars.
+    the array of scan points, and each refinement round once on the
+    array of the open brackets' trial points.
     """
     if not lo < hi:
         raise DomainError(f"invalid bracket [{lo}, {hi}]")
@@ -196,23 +250,17 @@ def find_roots(
         raise ContractViolationError(
             f"f returned shape {ys.shape} on {scan_points} scan points; it must be vectorised"
         )
-    if not np.all(np.isfinite(ys)):
-        bad = xs[~np.isfinite(ys)][0]
-        raise EvaluationError(f"non-finite value at x={bad}", abscissa=float(bad))
+    _check_finite(xs, ys)
 
+    cell = np.flatnonzero(ys[:-1] * ys[1:] < 0.0)
+    refined = _refine(f, xs[cell], xs[cell + 1], ys[cell], ys[cell + 1], tol)
+    # Each refined root lies inside its own scan cell, so sorting by value
+    # keeps the scan order of grid zeros and refined roots.
     resolution = (hi - lo) / (scan_points - 1)
     roots: list[float] = []
-    def add(r: float) -> None:
+    for r in np.sort(np.concatenate([xs[ys == 0.0], refined])):
         if not roots or r - roots[-1] > resolution * 0.5:
-            roots.append(r)
-
-    for i in range(scan_points - 1):
-        if ys[i] == 0.0:
-            add(float(xs[i]))
-        elif ys[i] * ys[i + 1] < 0.0:
-            add(_bisect(f, float(xs[i]), float(xs[i + 1]), float(ys[i]), float(ys[i + 1]), tol))
-    if ys[-1] == 0.0:
-        add(float(xs[-1]))
+            roots.append(float(r))
     return RootSet(roots=tuple(roots), bracket=(lo, hi), tolerance=tol)
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chrw import chrw_coefficients, chrw_solution, p1_chrw, solve_xi
-from .errors import RabiFloquetError
+from .errors import AmbiguousSolutionError, NoSolutionError, RabiFloquetError
 from .floquet import (
     build_floquet_matrix_lab,
     dynamic_base,
@@ -156,10 +156,10 @@ def check_coefficient_closure() -> CheckResult:
             if amp == 0.0:
                 continue  # no drive: the series is empty and P1 = 0 identically
             p = DriveParams(1.0, float(amp), float(omega))
-            roots = solve_xi(p)
-            if len(roots) != 1:
-                continue
-            sol = chrw_solution(p)
+            try:
+                sol = chrw_solution(p)
+            except (NoSolutionError, AmbiguousSolutionError):
+                continue  # the series exists only where xi is unique
             coeffs = chrw_coefficients(sol, p)
             worst = max(worst, abs(coeffs.closure_sum()))
             n_checked += 1

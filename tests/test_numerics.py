@@ -10,6 +10,8 @@ from rabifloquet.errors import (
     EvaluationError,
 )
 from rabifloquet.numerics import (
+    _bessel_backward,
+    _miller_start_order,
     bessel_j,
     bessel_table,
     dominant_peaks,
@@ -87,6 +89,70 @@ class TestBessel:
             )
 
 
+def bessel_backward_reference(nmax, x):
+    """The allocating Miller loop that ``_bessel_backward`` replaced, kept
+    as the bit-for-bit reference; also returns how often it rescaled."""
+    x = np.asarray(x, dtype=float)
+    out = np.zeros((nmax + 1, x.size))
+    nonzero = x > 0.0
+    out[0, ~nonzero] = 1.0
+    rescales = 0
+    if not np.any(nonzero):
+        return out, rescales
+    xs = x[nonzero]
+    start = _miller_start_order(nmax, float(xs.max()))
+    jp = np.zeros_like(xs)
+    jc = np.full_like(xs, 1e-30)
+    norm = np.zeros_like(xs)
+    vals = np.zeros((nmax + 1, xs.size))
+    for k in range(start, 0, -1):
+        jm = (2.0 * k / xs) * jc - jp
+        jp, jc = jc, jm
+        order = k - 1
+        if order <= nmax:
+            vals[order] = jc
+        if order > 0 and order % 2 == 0:
+            norm += 2.0 * jc
+        big = np.abs(jc) > 1e250
+        if np.any(big):
+            rescales += 1
+            scale = np.where(big, 1e250, 1.0)
+            jp /= scale
+            jc /= scale
+            norm /= scale
+            vals[:, big] /= 1e250
+    norm += jc
+    vals /= norm
+    out[:, nonzero] = vals
+    return out, rescales
+
+
+class TestBesselBackward:
+    def test_bit_identical_to_reference_loop(self):
+        # tiny arguments drive the seeded recurrence past 1e250, so the
+        # rescaling branch runs on part of each array
+        tiny = np.array([0.0, 1e-8, 1e-5, 1e-3, 0.5, 3.0])
+        cases = [(n, tiny) for n in (0, 1, 2, 7)]
+        cases += [(1, np.linspace(0.0, r, 4000)) for r in (0.5, 5.0, 20.0, 100.0)]
+        cases += [(40, np.concatenate([[2e-7], np.linspace(0.0, 30.0, 50)]))]
+        rescaled = 0
+        for nmax, x in cases:
+            expected, rescales = bessel_backward_reference(nmax, x)
+            rescaled += rescales > 0
+            assert np.array_equal(_bessel_backward(nmax, x), expected)
+        assert rescaled >= 5
+
+
+def budgeted(f, budget):
+    """``f`` recording the ndim of every argument; fails past ``budget`` calls."""
+    def counted(x):
+        counted.ndims.append(np.ndim(x))
+        assert len(counted.ndims) <= budget, f"more than {budget} calls of f"
+        return f(np.asarray(x))
+    counted.ndims = []
+    return counted
+
+
 class TestFindRoots:
     def test_sqrt_two(self):
         roots = find_roots(lambda x: x * x - 2.0, 0.0, 2.0, tol=1e-10)
@@ -109,6 +175,9 @@ class TestFindRoots:
                                scan_points=4000, tol=1e-12)
             assert len(found) == n_roots
             assert np.allclose(found.roots, true, atol=1e-9)
+            for r in found.roots:
+                lo_val, mid_val, hi_val = np.polyval(poly, [r - 1e-12, r, r + 1e-12])
+                assert mid_val == 0.0 or lo_val * hi_val < 0.0
 
     def test_grid_zero_reported_once(self):
         roots = find_roots(lambda x: x, -1.0, 1.0, scan_points=5)
@@ -119,6 +188,41 @@ class TestFindRoots:
         with pytest.raises(EvaluationError):
             find_roots(lambda x: np.where(np.asarray(x) > 0.5, np.nan, x - 0.1),
                        0.0, 1.0)
+
+    def test_call_budget(self):
+        # All brackets are refined together, one vectorised call per round,
+        # and every pair of rounds at least halves every bracket: one scan
+        # call plus at most twice bisection's calls from one scan cell.
+        true = np.array([-0.83, -0.41, 0.02, 0.37, 0.77])
+        poly = np.poly(true)
+        lo, hi, scan_points, tol = -1.0, 1.0, 4000, 1e-12
+        cell = (hi - lo) / (scan_points - 1)
+        f = budgeted(lambda x: np.polyval(poly, x), 1 + 2 * math.ceil(math.log2(cell / tol)))
+        found = find_roots(f, lo, hi, scan_points=scan_points, tol=tol)
+        assert np.allclose(found.roots, true, atol=1e-9)
+        assert f.ndims == [1] * len(f.ndims)
+
+    def test_safeguard_bound_on_stalling_bracket(self):
+        # exp(200 x) - 2 is so convex that plain regula falsi moves the left
+        # end by ~1e-87 a step, and the Illinois halving alone needs ~290
+        # halvings of f(1) ~ 7e86 before its trial points cross the root;
+        # the bisection safeguard must close the bracket within the budget.
+        tol = 1e-12
+        f = budgeted(lambda x: np.exp(200.0 * x) - 2.0, 1 + 2 * math.ceil(math.log2(1.0 / tol)))
+        found = find_roots(f, 0.0, 1.0, scan_points=2, tol=tol)
+        assert found.roots == pytest.approx((math.log(2.0) / 200.0,), abs=tol)
+
+    def test_nonfinite_value_at_refinement_point_raises(self):
+        # NaN only near the root, off the scan grid 0, 0.1, ..., 1: the
+        # scan passes and the first refinement point is rejected by name.
+        def f(x):
+            x = np.asarray(x)
+            return np.where(np.abs(x - 0.15) < 0.01, np.nan, x - 0.15)
+
+        with pytest.raises(EvaluationError) as info:
+            find_roots(f, 0.0, 1.0, scan_points=11)
+        assert abs(info.value.abscissa - 0.15) < 0.01
+        assert f"x={info.value.abscissa}" in str(info.value)
 
     def test_unvectorised_function_rejected(self):
         # a scan result of the wrong shape is a caller bug, not a cue to
