@@ -36,6 +36,7 @@ from .floquet import (
     dynamic_base,
     fold_to_even_comb,
     fold_to_zone,
+    lab_parity_chain,
     numeric_comb,
     p1_direct,
     p1_floquet,

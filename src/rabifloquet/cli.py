@@ -25,7 +25,12 @@ import numpy as np
 
 from . import __version__
 from .chrw import chrw_coefficients, chrw_solution, p1_chrw, solution_count_map
-from .errors import AmbiguousSolutionError, NoSolutionError, RabiFloquetError
+from .errors import (
+    AmbiguousSolutionError,
+    MultiphotonResonanceError,
+    NoSolutionError,
+    RabiFloquetError,
+)
 from .floquet import dynamic_base, make_comb, p1_direct, p1_floquet
 from .gvv import gvv_effective
 from .model import DensityMatrix, DriveParams
@@ -206,9 +211,13 @@ def _cmd_spectrum(cfg: dict, parser) -> int:
     for amp in amps:
         p = DriveParams(omega0=1.0, A=float(amp), omega=omega)
         emit(amp, make_comb(dynamic_base(p, trunc), omega, n_max), "numeric")
-        eff = gvv_effective(p, None if ksum is None else int(ksum))
-        emit(amp, make_comb(eff.Omega, omega, n_max), "gvv")
-        emit(amp, make_comb(eff.Omega_grwa, omega, n_max), "grwa")
+        try:
+            eff = gvv_effective(p, None if ksum is None else int(ksum))
+        except MultiphotonResonanceError as exc:
+            warnings.append(f"A={amp:g}: gvv unavailable: {exc}")
+        else:
+            emit(amp, make_comb(eff.Omega, omega, n_max), "gvv")
+            emit(amp, make_comb(eff.Omega_grwa, omega, n_max), "grwa")
         if p.A == 0.0:
             warnings.append(f"A={amp:g}: {_NO_DRIVE}")
             continue

@@ -1,10 +1,10 @@
 """Exact numerical route: truncated Floquet matrices and their dynamics.
 
 Builds truncated Floquet matrices from the Fourier blocks of a periodic
-Hamiltonian (the lab frame's here, the doubly rotated frame's in ``gvv``),
-extracts folded quasienergies, and evaluates the transition probability
-both from the Floquet eigenproblem and by direct time integration of the
-Schroedinger equation.
+Hamiltonian (the lab frame's here, the doubly rotated frame's in ``gvv``)
+and the lab frame's parity chain, extracts folded quasienergies, and
+evaluates the transition probability both from the Floquet eigenproblem
+and by direct time integration of the Schroedinger equation.
 """
 
 from __future__ import annotations
@@ -25,8 +25,10 @@ DEFAULT_TRUNCATION = 30
 class FloquetMatrix:
     """Truncated Floquet matrix with Fourier index n in [-N, N].
 
-    Row layout: block b = n + N holds rows 2b (excited-like state) and
-    2b + 1 (ground-like state), so the dimension is 2(2N + 1).
+    Row layout of the full matrices: block b = n + N holds rows 2b
+    (excited-like state) and 2b + 1 (ground-like state), so the dimension
+    is 2(2N + 1).  The lab parity chain has one row per n (row n + N), so
+    its dimension is 2N + 1.
     """
 
     truncation: int
@@ -67,6 +69,16 @@ def fold_to_even_comb(x, omega: float):
     return float(r) if r.ndim == 0 else r
 
 
+def _bandwidth(p: DriveParams, N: int) -> int:
+    """Fourier range of non-negligible couplings; rejects N < 1."""
+    if N < 1:
+        raise DomainError("truncation N must be >= 1")
+    # Eigenstates spread over ~A/omega photon sidebands, so truncation
+    # effects reach that far in from the edges even with nearest-neighbour
+    # coupling; record it so the interior window is chosen accordingly.
+    return min(2 * N, int(math.ceil(p.A / p.omega)) + 8)
+
+
 def floquet_matrix(p: DriveParams, components: dict, N: int) -> FloquetMatrix:
     """Truncated Floquet (Shirley) matrix of H(t) = sum_k H_k exp(i k omega t).
 
@@ -74,8 +86,7 @@ def floquet_matrix(p: DriveParams, components: dict, N: int) -> FloquetMatrix:
     H_{-k} = H_k^T for a real symmetric result.  Block (n, m) is
     H_{n-m} + n omega I; harmonics with |k| > 2N fall outside the matrix.
     """
-    if N < 1:
-        raise DomainError("truncation N must be >= 1")
+    bandwidth = _bandwidth(p, N)
     size = 2 * N + 1
     h = np.zeros((2 * size, 2 * size))
     blocks = h.reshape(size, 2, size, 2)  # view: blocks[n + N, :, m + N, :]
@@ -83,10 +94,6 @@ def floquet_matrix(p: DriveParams, components: dict, N: int) -> FloquetMatrix:
         rows = np.arange(max(k, 0), size + min(k, 0))
         blocks[rows, :, rows - k, :] = hk
     h[np.diag_indices(2 * size)] += np.repeat(np.arange(-N, N + 1) * p.omega, 2)
-    # Eigenstates spread over ~A/omega photon sidebands, so truncation
-    # effects reach that far in from the edges even with nearest-neighbour
-    # coupling; record it so the interior window is chosen accordingly.
-    bandwidth = min(2 * N, int(math.ceil(p.A / p.omega)) + 8)
     return FloquetMatrix(truncation=N, matrix=h, bandwidth=bandwidth)
 
 
@@ -95,10 +102,31 @@ def build_floquet_matrix_lab(p: DriveParams, N: int = DEFAULT_TRUNCATION) -> Flo
 
     H_0 = (omega0/2) sigma_z and H_{+-1} = (A/4) sigma_x: diagonal blocks
     diag(omega0/2, -omega0/2) + n omega I, sigma_x coupling between
-    Fourier neighbours.
+    Fourier neighbours.  The routes use its parity sector
+    ``lab_parity_chain``; the full matrix is the reference it is checked
+    against.
     """
     coupling = 0.25 * p.A * SIGMA_X.real
     return floquet_matrix(p, {0: 0.5 * p.omega0 * SIGMA_Z.real, 1: coupling, -1: coupling}, N)
+
+
+def lab_parity_chain(p: DriveParams, N: int = DEFAULT_TRUNCATION) -> FloquetMatrix:
+    """Sector {|0, even n>, |1, odd n>} of the lab-frame Floquet matrix.
+
+    The generalised parity sigma_z (-1)^n commutes with the lab matrix,
+    because the sigma_x coupling flips the spin and the photon number
+    together.  The sector holding |0, 0> is a real symmetric tridiagonal
+    chain: row n + N is |0, n> for even n and |1, n> for odd n, its
+    diagonal is n omega - (-1)^n omega0/2 and its off-diagonal A/4.  The
+    other sector's spectrum is the negative of this one (n -> -n), so the
+    chain holds both folded quasienergy classes.
+    """
+    bandwidth = _bandwidth(p, N)
+    n = np.arange(-N, N + 1)
+    coupling = np.full(2 * N, 0.25 * p.A)
+    h = (np.diag(n * p.omega + 0.5 * p.omega0 * np.where(n % 2, 1.0, -1.0))
+         + np.diag(coupling, 1) + np.diag(coupling, -1))
+    return FloquetMatrix(truncation=N, matrix=h, bandwidth=bandwidth)
 
 
 def _interior_mask(raw: np.ndarray, F: FloquetMatrix, omega: float) -> np.ndarray:
@@ -150,18 +178,17 @@ def quasienergies(F: FloquetMatrix, omega: float, cluster_tol: float = 1e-8) -> 
     return QuasienergySpectrum(folded_interior=folded, folded_pair=(q_a, q_b), gap=gap)
 
 
-def _mode_weights(F: FloquetMatrix) -> tuple[np.ndarray, np.ndarray]:
+def _mode_weights(p: DriveParams, N: int) -> tuple[np.ndarray, np.ndarray]:
     """Quasienergies q_k and weights c_k of the spectral sum for P1(t).
 
     With the initial Floquet state |0, 0> the amplitude on |1> is
-    sum_k c_k exp(-i q_k t) with c_k = (sum_n <1,n|e_k>) <e_k|0,0>.
+    sum_k c_k exp(-i q_k t) with c_k = (sum_n <1,n|e_k>) <e_k|0,0>.  Only
+    the parity chain of |0, 0> carries weight, and its |1, n> rows are
+    those of odd n; the chain's eigenvectors are real.
     """
-    dec = eig_hermitian(F.matrix)
-    N = F.truncation
+    dec = eig_hermitian(lab_parity_chain(p, N).matrix)
     v = dec.eigenvectors
-    upper = v[0::2, :].sum(axis=0)          # sum over <1, n| rows
-    ground0 = v[2 * N + 1, :]               # <0, 0| row
-    return dec.eigenvalues, upper * ground0.conj()
+    return dec.eigenvalues, v[(N + 1) % 2::2].sum(axis=0) * v[N]
 
 
 def p1_floquet(p: DriveParams, N: int = DEFAULT_TRUNCATION, t_grid=None) -> TimeSeries:
@@ -173,7 +200,7 @@ def p1_floquet(p: DriveParams, N: int = DEFAULT_TRUNCATION, t_grid=None) -> Time
     if t_grid is None:
         raise DomainError("t_grid is required")
     t = np.asarray(t_grid, dtype=float)
-    q, c = _mode_weights(build_floquet_matrix_lab(p, N))
+    q, c = _mode_weights(p, N)
     amp = np.exp(-1j * np.outer(t, q)) @ c
     return TimeSeries(t=t, p1=np.abs(amp) ** 2)
 
@@ -186,7 +213,7 @@ def dynamic_base(p: DriveParams, N: int = DEFAULT_TRUNCATION, weight_cutoff: flo
     weights do.  Picks the strongest cross-ladder line (i.e. not an
     integer harmonic of omega) and folds it against the 2 n omega comb.
     """
-    q, c = _mode_weights(build_floquet_matrix_lab(p, N))
+    q, c = _mode_weights(p, N)
     keep = np.abs(c) > weight_cutoff
     q, c = q[keep], c[keep]
     k, j = np.triu_indices(len(q), 1)

@@ -242,6 +242,9 @@ def find_roots(
     """
     if not lo < hi:
         raise DomainError(f"invalid bracket [{lo}, {hi}]")
+    if not (math.isfinite(tol) and tol > 0.0):
+        # a bracket cannot shrink below one ulp, so refinement to tol <= 0 never ends
+        raise DomainError(f"tol must be finite and > 0, got {tol}")
     if scan_points < 2:
         raise DomainError("scan_points must be >= 2")
     xs = np.linspace(lo, hi, scan_points)
@@ -279,9 +282,12 @@ def eig_hermitian(matrix) -> EigenDecomposition:
 
     Eigenvector phases are fixed deterministically: the largest-magnitude
     component of each column is made real and positive, so repeated runs
-    and parameter sweeps are bit-stable.
+    and parameter sweeps are bit-stable.  A real symmetric matrix is
+    diagonalised in real arithmetic and keeps real eigenvectors, whose
+    phase fix is a sign fix.
     """
-    h = np.asarray(matrix, dtype=complex)
+    h = np.asarray(matrix)
+    h = h.astype(float if np.isrealobj(h) else complex, copy=False)
     if h.ndim != 2 or h.shape[0] != h.shape[1] or h.shape[0] < 1:
         raise DomainError(f"expected a square matrix, got shape {h.shape}")
     scale = max(1.0, float(np.max(np.abs(h))))

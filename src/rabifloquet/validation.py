@@ -17,9 +17,9 @@ import numpy as np
 from .chrw import chrw_coefficients, chrw_solution, p1_chrw, solve_xi
 from .errors import AmbiguousSolutionError, NoSolutionError, RabiFloquetError
 from .floquet import (
-    build_floquet_matrix_lab,
     dynamic_base,
     fold_to_even_comb,
+    lab_parity_chain,
     make_comb,
     p1_direct,
     p1_floquet,
@@ -270,7 +270,7 @@ def check_physicality() -> CheckResult:
     worst_rep = 0.0
     for omega, amp in [(1.0, 1.0), (0.6, 2.0), (1.0, 5.0)]:
         pp = DriveParams(1.0, amp, omega)
-        spec = quasienergies(build_floquet_matrix_lab(pp, 30), pp.omega)
+        spec = quasienergies(lab_parity_chain(pp, 30), pp.omega)
         centers = np.array(spec.folded_pair)
         for q in spec.folded_interior:
             dists = np.abs(q - centers)

@@ -130,6 +130,18 @@ class TestOtherSubcommands:
             "the xi condition is degenerate"
         ]
 
+    def test_spectrum_degrades_at_multiphoton_resonance(self):
+        # at A = 0, omega = 1/3, J0 omega0 = 3 omega: the reduction has no
+        # second order there, so that amplitude loses only its gvv and grwa rows
+        proc = run_cli(["spectrum", "--omega", "0.3333333333333333", "--amp-range", "0:1:0.5"])
+        assert proc.returncode == 0, proc.stderr
+        rows = [line.split(",") for line in proc.stdout.splitlines()[1:]]
+        assert {row[0] for row in rows if row[3] == "numeric"} == {"0", "0.5", "1"}
+        assert {row[0] for row in rows if row[3] in ("gvv", "grwa")} == {"0.5", "1"}
+        assert {row[0] for row in rows if row[3] == "chrw"} == {"0.5", "1"}
+        assert any(line.startswith("warning: A=0: gvv unavailable: multiphoton resonance")
+                   for line in proc.stderr.splitlines())
+
     def test_open_two_traces(self, tmp_path):
         out = tmp_path / "open.csv"
         rc = main(["open", "--omega", "1", "--amp", "10", "--gamma10", "1",

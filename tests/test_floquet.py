@@ -11,6 +11,7 @@ from rabifloquet.floquet import (
     floquet_matrix,
     fold_to_even_comb,
     fold_to_zone,
+    lab_parity_chain,
     make_comb,
     numeric_comb,
     p1_direct,
@@ -81,6 +82,71 @@ class TestFloquetMatrix:
         for N in (0, -1):
             with pytest.raises(DomainError):
                 build_floquet_matrix_dut(p, N)
+
+
+def full_matrix_modes(p, N):
+    """Reference mode sum from the full lab matrix: q_k and
+    c_k = (sum_n <1,n|e_k>) <e_k|0,0>, rows 2b (|1>) and 2b + 1 (|0>)."""
+    evals, v = np.linalg.eigh(build_floquet_matrix_lab(p, N).matrix)
+    return evals, v[0::2, :].sum(axis=0) * v[2 * N + 1, :]
+
+
+class TestParityChain:
+    def sector_rows(self, N):
+        # |0, even n> sits on row 2(n + N) + 1 of the full matrix, |1, odd n> on row 2(n + N)
+        n = np.arange(-N, N + 1)
+        return 2 * (n + N) + (n % 2 == 0)
+
+    def test_is_the_full_matrix_sector(self):
+        for amp, omega, N in [(2.0, 0.6, 3), (7.3, 0.83, 10), (0.0, 1.0, 1)]:
+            p = DriveParams(1.0, amp, omega)
+            full = build_floquet_matrix_lab(p, N)
+            chain = lab_parity_chain(p, N)
+            rows = self.sector_rows(N)
+            rest = np.setdiff1d(np.arange(2 * (2 * N + 1)), rows)
+            assert np.array_equal(chain.matrix, full.matrix[np.ix_(rows, rows)])
+            assert not np.any(full.matrix[np.ix_(rows, rest)])  # parity is conserved
+            assert (chain.truncation, chain.bandwidth) == (full.truncation, full.bandwidth)
+
+    def test_eigenvalues_are_a_subset_of_the_full_matrix(self):
+        for amp, omega in [(2.0, 0.6), (7.3, 0.83), (12.0, 1.17), (0.3, 2.0)]:
+            p = DriveParams(1.0, amp, omega)
+            full = np.linalg.eigvalsh(build_floquet_matrix_lab(p, 30).matrix)
+            chain = np.linalg.eigvalsh(lab_parity_chain(p, 30).matrix)
+            assert np.max(np.min(np.abs(chain[:, None] - full[None, :]), axis=1)) <= 1e-12
+            # the other sector is the chain mirrored (n -> -n)
+            mirror = np.sort(np.concatenate([chain, -chain]))
+            assert np.max(np.abs(mirror - full)) <= 1e-12
+
+    def test_p1_matches_full_matrix_spectral_sum(self):
+        for omega, amp in [(0.6, 2.0), (0.83, 7.3), (1.17, 12.0), (2.0, 0.3)]:
+            p = DriveParams(1.0, amp, omega)
+            t = np.linspace(0.0, 20.0 * p.period, 801)
+            q, c = full_matrix_modes(p, 30)
+            reference = np.abs(np.exp(-1j * np.outer(t, q)) @ c) ** 2
+            assert np.max(np.abs(p1_floquet(p, 30, t).p1 - reference)) <= 1e-11
+
+    def test_base_matches_full_matrix(self, monkeypatch):
+        grid = [DriveParams(1.0, float(amp), omega)
+                for omega in (0.5, 0.6, 0.83, 1.0, 1.17, 2.0, 3.0)
+                for amp in np.arange(0.0, 16.0 + 0.25, 0.5)]
+        chain = [dynamic_base(p, 60) for p in grid]
+        monkeypatch.setattr(floquet, "_mode_weights", full_matrix_modes)
+        full = [dynamic_base(p, 60) for p in grid]
+        assert np.max(np.abs(np.subtract(chain, full))) <= 1e-12
+
+    def test_quasienergies_match_full_matrix(self):
+        for omega, amp in [(0.6, 2.0), (1.0, 1.0), (1.0, 5.0), (0.83, 7.3), (0.7, 0.0)]:
+            p = DriveParams(1.0, amp, omega)
+            chain = quasienergies(lab_parity_chain(p, 30), omega)
+            full = quasienergies(build_floquet_matrix_lab(p, 30), omega)
+            assert abs(chain.gap - full.gap) <= 1e-12
+            assert np.max(np.abs(np.subtract(chain.folded_pair, full.folded_pair))) <= 1e-12
+
+    def test_rejects_bad_truncation(self):
+        for N in (0, -1):
+            with pytest.raises(DomainError):
+                lab_parity_chain(DriveParams(1.0, 1.0, 1.0), N)
 
 
 class TestQuasienergies:
@@ -201,7 +267,7 @@ class TestCombs:
         # (k, j) order, found pair by pair
         for amp, omega in [(2.0, 0.6), (3.0, 0.6), (5.0, 1.0), (7.3, 0.83)]:
             p = DriveParams(1.0, amp, omega)
-            q, c = floquet._mode_weights(build_floquet_matrix_lab(p, 30))
+            q, c = floquet._mode_weights(p, 30)
             keep = np.abs(c) > 1e-10
             q, c = q[keep], c[keep]
             best_w, best_f = 0.0, 0.0
@@ -217,7 +283,7 @@ class TestCombs:
     def test_base_ties_keep_the_first_pair(self, monkeypatch):
         # equal weights on every pair: the first pair in (k, j) order wins
         modes = (np.array([0.0, 0.3, 0.5]), np.ones(3))
-        monkeypatch.setattr(floquet, "_mode_weights", lambda F: modes)
+        monkeypatch.setattr(floquet, "_mode_weights", lambda p, N: modes)
         assert dynamic_base(DriveParams(1.0, 1.0, 1.7), 3) == pytest.approx(0.3)
 
     def test_numeric_comb_covers_peaks(self):

@@ -224,6 +224,13 @@ class TestFindRoots:
         assert abs(info.value.abscissa - 0.15) < 0.01
         assert f"x={info.value.abscissa}" in str(info.value)
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-12, math.nan, math.inf])
+    def test_rejects_tol_that_cannot_end(self, tol):
+        # a bracket cannot shrink below one ulp: refining to tol <= 0 would
+        # never return
+        with pytest.raises(DomainError):
+            find_roots(lambda x: x * x - 2.0, 0.0, 2.0, tol=tol)
+
     def test_unvectorised_function_rejected(self):
         # a scan result of the wrong shape is a caller bug, not a cue to
         # re-evaluate point by point
@@ -267,6 +274,20 @@ class TestEigHermitian:
     def test_rejects_non_hermitian(self):
         with pytest.raises(ContractViolationError):
             eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    def test_real_input_stays_real(self):
+        rng = np.random.default_rng(17)
+        for dim in (2, 9, 40):
+            a = rng.normal(size=(dim, dim))
+            h = a + a.T
+            dec = eig_hermitian(h)
+            assert dec.eigenvectors.dtype == np.float64
+            ref = eig_hermitian(h.astype(complex))
+            assert np.max(np.abs(dec.eigenvalues - ref.eigenvalues)) <= 1e-12
+            # sign fix: the largest-magnitude component of each column is > 0
+            v = dec.eigenvectors
+            assert np.all(v[np.argmax(np.abs(v), axis=0), np.arange(dim)] > 0.0)
+            assert np.allclose(v @ np.diag(dec.eigenvalues) @ v.T, h, atol=1e-12)
 
 
 class TestEvolveOde:
