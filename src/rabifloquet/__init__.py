@@ -37,7 +37,6 @@ from .floquet import (
     fold_to_even_comb,
     fold_to_zone,
     lab_parity_chain,
-    numeric_comb,
     p1_direct,
     p1_floquet,
     quasienergies,
@@ -71,10 +70,8 @@ from .numerics import (
 from .open_system import (
     DecayRates,
     RotatedRates,
-    RotationWeights,
     evolve_gvv_lindblad,
     evolve_lab_lindblad,
-    rotate_to_lab,
     rotated_rates,
 )
 

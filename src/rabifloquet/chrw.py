@@ -22,8 +22,9 @@ from .errors import AmbiguousSolutionError, DomainError, NoSolutionError
 from .model import DriveParams, TimeSeries
 from .numerics import RootSet, bessel_j, bessel_table, find_roots
 
-DEFAULT_SCAN_POINTS = 4000
-DEFAULT_ROOT_TOL = 1e-12
+# Uniform scan resolution and root tolerance of the xi condition on [0, 1].
+SCAN_POINTS = 4000
+ROOT_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -74,15 +75,11 @@ def _xi_residual(p: DriveParams):
     return f
 
 
-def solve_xi(
-    p: DriveParams,
-    scan_points: int = DEFAULT_SCAN_POINTS,
-    tol: float = DEFAULT_ROOT_TOL,
-) -> RootSet:
+def solve_xi(p: DriveParams) -> RootSet:
     """All roots of the xi self-consistency condition on [0, 1]."""
     if p.A == 0.0:
         raise DomainError("xi condition is degenerate at A = 0 (no drive to renormalize)")
-    return find_roots(_xi_residual(p), 0.0, 1.0, scan_points=scan_points, tol=tol)
+    return find_roots(_xi_residual(p), 0.0, 1.0, scan_points=SCAN_POINTS, tol=ROOT_TOL)
 
 
 def solution_count_map(omega_range, A_range) -> SolutionCountMap:

@@ -19,6 +19,10 @@ from .model import SIGMA_X, SIGMA_Z, DriveParams, PureState, TimeSeries, hamilto
 from .numerics import eig_hermitian, evolve_linear
 
 DEFAULT_TRUNCATION = 30
+# Folded eigenvalues closer than CLUSTER_TOL * omega form one quasienergy class.
+CLUSTER_TOL = 1e-8
+# Floquet modes with a smaller spectral weight carry no line of P1(t).
+WEIGHT_CUTOFF = 1e-10
 
 
 @dataclass(frozen=True)
@@ -136,7 +140,7 @@ def _interior_mask(raw: np.ndarray, F: FloquetMatrix, omega: float) -> np.ndarra
     return np.abs(raw) <= margin * omega if margin >= 1 else np.ones_like(raw, dtype=bool)
 
 
-def quasienergies(F: FloquetMatrix, omega: float, cluster_tol: float = 1e-8) -> QuasienergySpectrum:
+def quasienergies(F: FloquetMatrix, omega: float) -> QuasienergySpectrum:
     """Eigendecomposition with folding into [-omega/2, omega/2).
 
     Interior folded eigenvalues are clustered on the circle of
@@ -152,12 +156,12 @@ def quasienergies(F: FloquetMatrix, omega: float, cluster_tol: float = 1e-8) -> 
 
     gaps = np.diff(folded)
     wrap = folded[0] + omega - folded[-1]
-    splits = np.flatnonzero(gaps > cluster_tol * omega)
+    splits = np.flatnonzero(gaps > CLUSTER_TOL * omega)
     if len(splits) == 0:
         clusters = [folded]
     else:
         parts = np.split(folded, splits + 1)
-        if wrap <= cluster_tol * omega:
+        if wrap <= CLUSTER_TOL * omega:
             # first and last runs are the same cluster across the zone edge
             parts[0] = np.concatenate([parts[-1] - omega, parts[0]])
             parts = parts[:-1]
@@ -191,21 +195,19 @@ def _mode_weights(p: DriveParams, N: int) -> tuple[np.ndarray, np.ndarray]:
     return dec.eigenvalues, v[(N + 1) % 2::2].sum(axis=0) * v[N]
 
 
-def p1_floquet(p: DriveParams, N: int = DEFAULT_TRUNCATION, t_grid=None) -> TimeSeries:
+def p1_floquet(p: DriveParams, N: int, t_grid) -> TimeSeries:
     """Transition probability from the truncated Floquet eigenproblem.
 
     Evaluates the coherent double sum over Floquet modes for the initial
     state |0>; P1(0) vanishes by completeness of the eigenbasis.
     """
-    if t_grid is None:
-        raise DomainError("t_grid is required")
     t = np.asarray(t_grid, dtype=float)
     q, c = _mode_weights(p, N)
     amp = np.exp(-1j * np.outer(t, q)) @ c
     return TimeSeries(t=t, p1=np.abs(amp) ** 2)
 
 
-def dynamic_base(p: DriveParams, N: int = DEFAULT_TRUNCATION, weight_cutoff: float = 1e-10) -> float:
+def dynamic_base(p: DriveParams, N: int = DEFAULT_TRUNCATION) -> float:
     """Fundamental frequency of P1(t), folded to the even comb [0, omega].
 
     The folded quasienergy gap alone does not decide whether the
@@ -214,7 +216,7 @@ def dynamic_base(p: DriveParams, N: int = DEFAULT_TRUNCATION, weight_cutoff: flo
     integer harmonic of omega) and folds it against the 2 n omega comb.
     """
     q, c = _mode_weights(p, N)
-    keep = np.abs(c) > weight_cutoff
+    keep = np.abs(c) > WEIGHT_CUTOFF
     q, c = q[keep], c[keep]
     k, j = np.triu_indices(len(q), 1)
     f = np.abs(q[k] - q[j])
@@ -248,7 +250,7 @@ def p1_direct(
     return TimeSeries(t=t, p1=np.abs(states[:, 0]) ** 2)
 
 
-def make_comb(base: float, omega: float, n_max: int, base_label: str = "base") -> FrequencyComb:
+def make_comb(base: float, omega: float, n_max: int) -> FrequencyComb:
     """Comb {2 n omega} plus {|+-base + 2 n omega|} for n = 0..n_max."""
     if base < 0:
         raise DomainError("base frequency must be nonnegative")
@@ -256,12 +258,7 @@ def make_comb(base: float, omega: float, n_max: int, base_label: str = "base") -
     for n in range(n_max + 1):
         lines.append((2.0 * n * omega, f"2nw[n={n}]"))
         if base > 0.0:
-            lines.append((abs(2.0 * n * omega + base), f"2nw+{base_label}[n={n}]"))
+            lines.append((abs(2.0 * n * omega + base), f"2nw+base[n={n}]"))
             if n > 0 or not math.isclose(abs(2.0 * n * omega - base), base):
-                lines.append((abs(2.0 * n * omega - base), f"2nw-{base_label}[n={n}]"))
+                lines.append((abs(2.0 * n * omega - base), f"2nw-base[n={n}]"))
     return FrequencyComb(base=base, lines=tuple(lines))
-
-
-def numeric_comb(p: DriveParams, N: int = DEFAULT_TRUNCATION, n_max: int = 4) -> FrequencyComb:
-    """Comb of P1(t) line positions from the numeric Floquet gap."""
-    return make_comb(dynamic_base(p, N), p.omega, n_max)

@@ -1,14 +1,16 @@
 """Dissipative dynamics: lab-frame Lindblad integration and the reduced
 rotating-frame route with time-dependent jump operators.
 
-Rewriting the lab-frame damping and dephasing channels in the rotating
-basis turns each jump operator L into U(t)+ L U(t), U = frame_unitary,
-whose entries are periodic functions of time; combined with the
-effective 2x2 Hamiltonian this gives an approximate open-system solution
-that can be rotated back to lab populations.  The rotated operators mix
-the channels: besides periodic decay, excitation and dephasing rates
-(``rotated_rates``) they carry coherence damping and cross terms, and
-the reduced route keeps all of them.
+Each lab channel is a rate times D[|a><b|] (``_lab_channels``).  In a
+frame reached by a unitary V(t) its jump operator becomes V+ |a><b| V,
+whose entries are periodic functions of time; every rotated quantity
+here is built from U = frame_unitary, the one place the rotation is
+written.  Combined with the effective 2x2 Hamiltonian this gives an
+approximate open-system solution that can be rotated back to lab
+populations.  The rotated operators mix the channels: besides periodic
+decay, excitation and dephasing rates (``rotated_rates``) they carry
+coherence damping and cross terms, and the reduced route keeps all of
+them.
 """
 
 from __future__ import annotations
@@ -19,23 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolationError, DomainError
-from .gvv import frame_angle, frame_unitary, gvv_effective
-from .model import (
-    IDENTITY,
-    SIGMA_Z,
-    TWO_PI,
-    DensityMatrix,
-    DriveParams,
-    TimeSeries,
-    hamiltonian_lab,
-)
+from .gvv import frame_unitary, gvv_effective
+from .model import IDENTITY, TWO_PI, DensityMatrix, DriveParams, TimeSeries, hamiltonian_lab
 from .numerics import evolve_linear
-
-# Jump operators in the (upper, lower) matrix ordering used throughout.
-_LOWER = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)   # |lower><upper|
-_RAISE = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-_PROJ_UP = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
-_PROJ_DOWN = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -70,22 +58,17 @@ class RotatedRates:
     Gamma_s0s1: float
 
 
-@dataclass(frozen=True)
-class RotationWeights:
-    """Coefficients of a lab jump operator expanded in the rotating basis."""
-
-    zeta: float
-    beta: float
-    eta: float
+def _lab_channels(d: DecayRates) -> list[tuple[float, int, int]]:
+    """Lab channels as (rate, a, b): rate * D[|a><b|], indices in the (|1>, |0>) order."""
+    return [(0.5 * d.Gamma_10, 1, 0), (0.5 * d.Gamma_01, 0, 1), (d.gamma_11, 0, 0), (d.gamma_00, 1, 1)]
 
 
-def rotation_weights(p: DriveParams, t) -> RotationWeights:
-    """Weights at a scalar time, or arrays of them at an array of times."""
-    th = frame_angle(p, t)
-    return RotationWeights(zeta=0.5 * np.sin(2.0 * th), beta=np.sin(th) ** 2, eta=np.cos(th) ** 2)
+def _rotated(v: np.ndarray, a: int, b: int) -> np.ndarray:
+    """V+ |a><b| V = outer(conj V[a, :], V[b, :]) for a 2x2 V or a batch of them."""
+    return v[..., a, :, None].conj() * v[..., b, None, :]
 
 
-def rotated_rates(p: DriveParams, d: DecayRates, t: float) -> RotatedRates:
+def rotated_rates(p: DriveParams, d: DecayRates, t) -> RotatedRates:
     """Time-dependent rotating-frame decay, excitation, and dephasing rates.
 
     These are the population-transfer part of the rotated dissipator
@@ -95,18 +78,13 @@ def rotated_rates(p: DriveParams, d: DecayRates, t: float) -> RotatedRates:
     (``evolve_gvv_lindblad`` uses the full rotated jump operators).
     At t = 0 the frames coincide and the lab rates are recovered; at
     strong drive the excitation rate periodically exceeds the decay rate.
+    A scalar ``t`` gives scalar rates, an array of times arrays of them.
     """
-    half = frame_angle(p, t)        # argument of the sin^4 / cos^4 terms
-    sin2 = np.sin(2.0 * half) ** 2
-    c4 = np.cos(half) ** 4
-    s4 = np.sin(half) ** 4
-    return RotatedRates(
-        t=t,
-        gamma_s1s1=sin2 * d.Gamma_10 / 8.0 + c4 * d.gamma_11,
-        gamma_s0s0=sin2 * d.Gamma_10 / 8.0 + s4 * d.gamma_11,
-        Gamma_s1s0=sin2 * d.gamma_11 / 2.0 + c4 * d.Gamma_10,
-        Gamma_s0s1=sin2 * d.gamma_11 / 2.0 + s4 * d.Gamma_10,
-    )
+    u = frame_unitary(p, t)
+    # rate |(U+ L U)_kl|^2: the dephasing rate of k if k = l, else half the l -> k rate
+    m = sum(rate * np.abs(_rotated(u, a, b)) ** 2 for rate, a, b in _lab_channels(d))
+    return RotatedRates(t=t, gamma_s1s1=m[..., 0, 0], gamma_s0s0=m[..., 1, 1],
+                        Gamma_s1s0=2.0 * m[..., 1, 0], Gamma_s0s1=2.0 * m[..., 0, 1])
 
 
 # Superoperators act on the row-major vec of rho, vec(A rho B) = (A x B^T) vec(rho).
@@ -128,14 +106,10 @@ def _dissipator(op: np.ndarray) -> np.ndarray:
     return 2.0 * _kron(op, op.conj()) - _kron(odo, IDENTITY) - _kron(IDENTITY, np.swapaxes(odo, -1, -2))
 
 
-def _channels(pairs) -> np.ndarray:
-    """Sum of rate * D[op] over the (rate, op) pairs with a nonzero rate."""
-    return sum((rate * _dissipator(op) for rate, op in pairs if rate), np.zeros((4, 4), complex))
-
-
-def _matrices(a, b, c, d) -> np.ndarray:
-    """Batch of [[a, b], [c, d]] from equally shaped entry arrays."""
-    return np.stack([np.stack([a, b], axis=-1), np.stack([c, d], axis=-1)], axis=-2)
+def _channels(d: DecayRates, v: np.ndarray) -> np.ndarray:
+    """Sum of rate * D[V+ |a><b| V] over the lab channels with a nonzero rate."""
+    return sum((rate * _dissipator(_rotated(v, a, b)) for rate, a, b in _lab_channels(d) if rate),
+               np.zeros((4, 4), complex))
 
 
 def _check_physical(rhos: np.ndarray, t: np.ndarray) -> None:
@@ -175,8 +149,7 @@ def evolve_lab_lindblad(
     excited state decays as exp(-Gamma_10 t).
     """
     t = np.asarray(t_grid, dtype=float)
-    channels = _channels([(0.5 * d.Gamma_10, _LOWER), (0.5 * d.Gamma_01, _RAISE),
-                          (d.gamma_11, _PROJ_UP), (d.gamma_00, _PROJ_DOWN)])
+    channels = _channels(d, IDENTITY)
 
     def generator(times: np.ndarray) -> np.ndarray:
         return _commutator(hamiltonian_lab(p, times)) + channels
@@ -187,16 +160,6 @@ def evolve_lab_lindblad(
     _check_physical(rhos, t)
     series = TimeSeries(t=t, p1=rhos[:, 0, 0].real)
     return (series, rhos) if return_states else series
-
-
-def rotate_to_lab(rho_rot: DensityMatrix, p: DriveParams, t: float) -> DensityMatrix:
-    """Map a density matrix of the rotated frame back to the lab basis.
-
-    The frame is that of ``build_floquet_matrix_dut``; its lab map is
-    sigma_z U with U = ``frame_unitary``.
-    """
-    v = SIGMA_Z @ frame_unitary(p, t)
-    return DensityMatrix(v @ rho_rot.matrix @ v.conj().T)
 
 
 def evolve_gvv_lindblad(
@@ -211,44 +174,32 @@ def evolve_gvv_lindblad(
 
     The state lives on the reduced pair (|1, 0>, |0, n>) of
     ``gvv_effective`` and evolves under its time-independent 2x2
-    Hamiltonian.  The lab channels enter as the rotated jump operators
-    D(t)+ U(t)+ L U(t) D(t), where U = frame_unitary and D(t) =
-    diag(1, exp(i n omega t)) carries the photon phase of |0, n>;
-    U+ sigma_- U = eta sigma_- + beta sigma_+ - i zeta sigma_z and
-    U+ P_1 U = (1 + cos 2theta sigma_z - sin 2theta sigma_y) / 2 with
-    the ``rotation_weights``.  The initial state is the lower basis state
-    (|0> at t = 0), and P1 is read out from U D rho D+ U+.  With
-    ``return_states`` the states are returned in the reduced frame.
+    Hamiltonian.  The reduced frame is reached by V(t) = U(t) D(t), where
+    U = frame_unitary and D(t) = diag(1, exp(i n omega t)) carries the
+    photon phase of |0, n>; each lab channel enters as the rotated jump
+    operator V+ L V.  The initial state is the lower basis state (|0> at
+    t = 0), and P1 is read out from V rho V+.  With ``return_states``
+    the states are returned in the reduced frame.
     """
     t = np.asarray(t_grid, dtype=float)
     eff = gvv_effective(p, K)
     h = 0.5 * (eff.h + eff.h.T).astype(complex)
-    # D[1 - P] = D[P] for a projector P, so both dephasing channels share
-    # one dissipator; the decay and excitation channels are D[L], D[L+].
-    dephasing = d.gamma_11 + d.gamma_00
     hamiltonian = _commutator(h)
 
-    def photon_phase(times: np.ndarray) -> np.ndarray:
-        return np.exp(1j * np.fmod(eff.n * p.omega * times, TWO_PI))
+    def frame(times: np.ndarray) -> np.ndarray:
+        v = frame_unitary(p, times)
+        v[..., 1] *= np.exp(1j * np.fmod(eff.n * p.omega * times, TWO_PI))[..., None]
+        return v
 
     def generator(times: np.ndarray) -> np.ndarray:
-        w = rotation_weights(p, times)
-        ph = photon_phase(times)
-        lower = _matrices(-1j * w.zeta, w.beta * ph, w.eta * ph.conj(), 1j * w.zeta)
-        proj_up = _matrices(w.eta, 1j * w.zeta * ph, -1j * w.zeta * ph.conj(), w.beta)
-        channels = _channels([(0.5 * d.Gamma_10, lower),
-                              (0.5 * d.Gamma_01, np.swapaxes(lower.conj(), 1, 2)),
-                              (dephasing, proj_up)])
-        return np.broadcast_to(hamiltonian, (len(times), 4, 4)) + channels
+        return np.broadcast_to(hamiltonian, (len(times), 4, 4)) + _channels(d, frame(times))
 
     rho0 = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
     states = evolve_linear(generator, rho0.reshape(-1), t, rel_tol=rel_tol,
                            max_step=p.period / 400.0)
     rhos = states.reshape(len(t), 2, 2)
     _check_physical(rhos, t)
-    # Row 0 of U D, D = diag(1, exp(i n omega t)): P1 = (U D rho D+ U+)[0, 0].
-    row = frame_unitary(p, t)[:, 0, :]
-    row[:, 1] *= photon_phase(t)
+    row = frame(t)[:, 0, :]
     p1 = np.einsum("mi,mij,mj->m", row, rhos, row.conj()).real
     series = TimeSeries(t=t, p1=p1)
     return (series, rhos) if return_states else series

@@ -13,7 +13,6 @@ from rabifloquet.floquet import (
     fold_to_zone,
     lab_parity_chain,
     make_comb,
-    numeric_comb,
     p1_direct,
     p1_floquet,
     quasienergies,
@@ -288,7 +287,7 @@ class TestCombs:
 
     def test_numeric_comb_covers_peaks(self):
         p = DriveParams(1.0, 2.0, 0.6)
-        comb = numeric_comb(p, 30, n_max=6)
+        comb = make_comb(dynamic_base(p, 30), p.omega, 6)
         n_periods = 120
         t = np.linspace(0.0, n_periods * p.period, 2 ** 13, endpoint=False)
         peaks = dominant_peaks(p1_floquet(p, 30, t), max_peaks=8)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rabifloquet.errors import ContractViolationError, DomainError
 from rabifloquet.gvv import frame_angle, frame_unitary, gvv_effective
@@ -9,23 +11,40 @@ from rabifloquet.model import SIGMA_Y, SIGMA_Z, DensityMatrix, DriveParams
 from rabifloquet.numerics import evolve_ode
 from rabifloquet.open_system import (
     DecayRates,
+    _channels,
     _check_physical,
     evolve_gvv_lindblad,
     evolve_lab_lindblad,
-    rotate_to_lab,
     rotated_rates,
-    rotation_weights,
 )
 
 GROUND = DensityMatrix(np.diag([0.0, 1.0]).astype(complex))
 EXCITED = DensityMatrix(np.diag([1.0, 0.0]).astype(complex))
 LOWER = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)  # |0><1|
 PROJ_UP = np.diag([1.0, 0.0]).astype(complex)
+PROJ_DOWN = np.diag([0.0, 1.0]).astype(complex)
 
 
 def dissipator(op, rho):
     od = op.conj().T
     return 2.0 * op @ rho @ od - od @ op @ rho - rho @ od @ op
+
+
+def lab_operators(d):
+    """(rate, L) of the four lab channels, L as explicit matrices."""
+    return [(0.5 * d.Gamma_10, LOWER), (0.5 * d.Gamma_01, LOWER.T),
+            (d.gamma_11, PROJ_UP), (d.gamma_00, PROJ_DOWN)]
+
+
+def reference_rates(p, d, t):
+    """(gamma_s1s1, gamma_s0s0, Gamma_s1s0, Gamma_s0s1) from U+ L U by matrix products."""
+    u = frame_unitary(p, t)
+    s = sum(rate * np.abs(u.conj().T @ op @ u) ** 2 for rate, op in lab_operators(d))
+    return s[0, 0], s[1, 1], 2.0 * s[1, 0], 2.0 * s[0, 1]
+
+
+def rate_tuple(r):
+    return r.gamma_s1s1, r.gamma_s0s0, r.Gamma_s1s0, r.Gamma_s0s1
 
 
 def rotating_frame_states(p, d, t):
@@ -103,15 +122,76 @@ class TestRotatedRates:
         up = [rotated_rates(p, d, float(ti)).Gamma_s0s1 for ti in t]
         assert max(up) > 0.5 * d.Gamma_10
 
+    def test_reverse_channels_enter(self):
+        p = DriveParams(1.0, 6.0, 0.8)
+        d = DecayRates(0.5, 0.1, 0.3, 0.2)
+        r0 = rotated_rates(p, d, 0.0)
+        assert r0.Gamma_s0s1 == pytest.approx(d.Gamma_01, abs=1e-15)
+        assert r0.gamma_s0s0 == pytest.approx(d.gamma_00, abs=1e-15)
+        t = np.array([0.0, 0.37, 1.1, 2.9, 5.3])
+        batch = rate_tuple(rotated_rates(p, d, t))
+        for i, ti in enumerate(t):
+            want = reference_rates(p, d, ti)
+            assert np.allclose(rate_tuple(rotated_rates(p, d, ti)), want, rtol=0, atol=1e-15)
+            assert np.allclose([rate[i] for rate in batch], want, rtol=0, atol=1e-15)
 
-class TestRotationWeights:
-    def test_partition_of_unity(self):
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(omega=st.floats(0.2, 4.0), amp=st.floats(0.0, 15.0), t=st.floats(0.0, 100.0),
+           rates=st.lists(st.floats(0.0, 3.0), min_size=4, max_size=4))
+    def test_property_nonnegative_and_explicit(self, omega, amp, t, rates):
+        p, d = DriveParams(1.0, amp, omega), DecayRates(*rates)
+        got = rate_tuple(rotated_rates(p, d, t))
+        assert min(got) >= 0.0
+        assert np.allclose(got, reference_rates(p, d, t), rtol=0, atol=1e-14)
+
+
+class TestFrame:
+    def test_unitary_with_unit_row_weights(self):
         rng = np.random.default_rng(29)
         for _ in range(20):
             p = DriveParams(1.0, float(rng.uniform(0.0, 12.0)), float(rng.uniform(0.3, 3.0)))
-            w = rotation_weights(p, float(rng.uniform(0.0, 40.0)))
-            assert w.beta + w.eta == pytest.approx(1.0, abs=1e-12)
-            assert abs(w.zeta) <= 0.5 + 1e-12
+            u = frame_unitary(p, rng.uniform(0.0, 40.0, size=16))
+            assert u.shape == (16, 2, 2)
+            assert np.allclose(u @ np.swapaxes(u.conj(), 1, 2), np.eye(2), rtol=0, atol=1e-14)
+            assert np.allclose(np.sum(np.abs(u) ** 2, axis=2), 1.0, rtol=0, atol=1e-14)
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(omega=st.floats(0.2, 4.0), amp=st.floats(0.0, 15.0), t=st.floats(0.0, 100.0))
+    def test_property_unitary(self, omega, amp, t):
+        u = frame_unitary(DriveParams(1.0, amp, omega), t)
+        assert np.allclose(u @ u.conj().T, np.eye(2), rtol=0, atol=1e-14)
+
+    def test_identity_at_zero(self):
+        # sigma_z U(0) = sigma_z leaves diagonal states unchanged
+        v = SIGMA_Z @ frame_unitary(DriveParams(1.0, 5.0, 0.7), 0.0)
+        assert np.allclose(v @ GROUND.matrix @ v.conj().T, GROUND.matrix)
+
+    def test_coherence_matches_lab_lindblad(self):
+        # the lab map is sigma_z U; U alone flips the sign of rho_01 (+0.1824 - 0.0413i here)
+        p = DriveParams(1.0, 3.0, 1.0)
+        t = np.linspace(0.0, 2.3, 24)
+        v = SIGMA_Z @ frame_unitary(p, t[-1])
+        for d in (DecayRates(0.0, 0.0), DecayRates(Gamma_10=0.5, gamma_11=0.1)):
+            rot = rotating_frame_states(p, d, t)[-1]
+            _, lab = evolve_lab_lindblad(p, d, GROUND, t, return_states=True)
+            out = v @ rot @ v.conj().T
+            assert abs(lab[-1, 0, 1]) > 0.05
+            assert abs(out[0, 1] - lab[-1, 0, 1]) <= 1e-7
+
+    def test_channels_are_rotated_lab_dissipators(self):
+        d = DecayRates(0.5, 0.1, 0.3, 0.2)
+        p = DriveParams(1.0, 4.0, 0.9)
+        t = np.array([0.0, 0.4, 1.7, 3.2])
+        rng = np.random.default_rng(3)
+        rho = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        for n in (-1, 1):
+            v = np.array([frame_unitary(p, ti) @ np.diag([1.0, np.exp(1j * n * p.omega * ti)])
+                          for ti in t])
+            got = (_channels(d, v) @ rho.reshape(-1)).reshape(len(t), 2, 2)
+            for vi, gi in zip(v, got):
+                want = sum(rate * dissipator(vi.conj().T @ op @ vi, rho)
+                           for rate, op in lab_operators(d))
+                assert np.max(np.abs(gi - want)) <= 1e-14
 
 
 class TestLabLindblad:
@@ -199,38 +279,3 @@ class TestReducedRoute:
         d = DecayRates(Gamma_10=1.0, gamma_11=0.2)
         series = evolve_gvv_lindblad(p, d, np.array([0.0, 0.05, 0.1]))
         assert series.p1[0] == pytest.approx(0.0, abs=1e-12)
-
-
-class TestRotateToLab:
-    def test_identity_at_zero(self):
-        p = DriveParams(1.0, 5.0, 0.7)
-        out = rotate_to_lab(GROUND, p, 0.0)
-        assert np.allclose(out.matrix, GROUND.matrix)
-
-    def test_round_trip(self):
-        p = DriveParams(1.0, 5.0, 0.7)
-        rho = DensityMatrix(np.array([[0.3, 0.1 + 0.2j], [0.1 - 0.2j, 0.7]]))
-        t = 1.37
-        fwd = rotate_to_lab(rho, p, t)
-        v = SIGMA_Z @ frame_unitary(p, t)
-        back = v.conj().T @ fwd.matrix @ v
-        assert np.allclose(back, rho.matrix, atol=1e-12)
-
-    def test_coherence_matches_lab_lindblad(self):
-        # U alone flips the sign of rho_01 (+0.1824 - 0.0413i here)
-        p = DriveParams(1.0, 3.0, 1.0)
-        t = np.linspace(0.0, 2.3, 24)
-        for d in (DecayRates(0.0, 0.0), DecayRates(Gamma_10=0.5, gamma_11=0.1)):
-            rot = rotating_frame_states(p, d, t)[-1]
-            _, lab = evolve_lab_lindblad(p, d, GROUND, t, return_states=True)
-            out = rotate_to_lab(DensityMatrix(0.5 * (rot + rot.conj().T)), p, t[-1])
-            assert abs(lab[-1, 0, 1]) > 0.05
-            assert abs(out.matrix[0, 1] - lab[-1, 0, 1]) <= 1e-7
-
-    def test_trace_and_spectrum_preserved(self):
-        p = DriveParams(1.0, 8.0, 1.1)
-        rho = DensityMatrix(np.array([[0.6, 0.2j], [-0.2j, 0.4]]))
-        out = rotate_to_lab(rho, p, 2.9)
-        assert np.trace(out.matrix).real == pytest.approx(1.0, abs=1e-12)
-        assert np.allclose(np.linalg.eigvalsh(out.matrix),
-                           np.linalg.eigvalsh(rho.matrix), atol=1e-12)
