@@ -107,10 +107,12 @@ def solution_count_map(omega_range, A_range) -> SolutionCountMap:
 def chrw_solution(p: DriveParams) -> ChrwSolution:
     """Renormalized drive, detuning, and effective Rabi frequency.
 
-    Requires a unique xi root; zero roots raise NoSolutionError (the
-    method simply has no answer there) and several roots raise
-    AmbiguousSolutionError carrying all of them.
+    Requires a unique xi root; zero roots, or no drive at all (A = 0),
+    raise NoSolutionError (the method simply has no answer there) and
+    several roots raise AmbiguousSolutionError carrying all of them.
     """
+    if p.A == 0.0:
+        raise NoSolutionError("no drive (A = 0), the xi condition is degenerate")
     roots = solve_xi(p)
     if len(roots) == 0:
         raise NoSolutionError(
@@ -151,8 +153,8 @@ def chrw_coefficients(sol: ChrwSolution, p: DriveParams, n_max: int | None = Non
     c1 = -0.125 * at * at / om2 * table[0] - 0.25 * dt * at / om2 * table[1]
 
     n = np.arange(1, n_max + 1)
-    j2n = np.array([table[2 * k] for k in n])
-    jodd = np.array([table[2 * k - 1] - table[2 * k + 1] for k in n])
+    j2n = table[2 * n]
+    jodd = table[2 * n - 1] - table[2 * n + 1]
     ring = n * p.omega * at / (2.0 * p.A * sol.xi * om)
     c2 = -(0.125 * at * at / om2 + ring) * j2n + 0.125 * dt * at / om2 * jodd
     c3 = -(0.125 * at * at / om2 - ring) * j2n + 0.125 * dt * at / om2 * jodd

@@ -149,9 +149,6 @@ def _write_output(cfg: dict, columns: dict, warnings: list[str]) -> None:
             print(f"warning: {w}", file=sys.stderr)
 
 
-_NO_DRIVE = "analytic series unavailable: no drive (A = 0), the xi condition is degenerate"
-
-
 def _time_grid(period: float, periods: float, samples: int) -> np.ndarray:
     return np.linspace(0.0, periods * period, samples)
 
@@ -169,14 +166,11 @@ def _cmd_dynamics(cfg: dict, parser) -> int:
     floquet = p1_floquet(p, trunc, t)
     warnings: list[str] = []
     chrw_col = [None] * len(t)
-    if p.A == 0.0:
-        warnings.append(_NO_DRIVE)
-    else:
-        try:
-            sol = chrw_solution(p)
-            chrw_col = list(p1_chrw(sol, chrw_coefficients(sol, p), t).p1)
-        except (NoSolutionError, AmbiguousSolutionError) as exc:
-            warnings.append(f"analytic series unavailable: {exc}")
+    try:
+        sol = chrw_solution(p)
+        chrw_col = list(p1_chrw(sol, chrw_coefficients(sol, p), t).p1)
+    except (NoSolutionError, AmbiguousSolutionError) as exc:
+        warnings.append(f"analytic series unavailable: {exc}")
     _write_output(cfg, {
         "t": list(t),
         "p1_numeric": list(numeric.p1),
@@ -218,9 +212,6 @@ def _cmd_spectrum(cfg: dict, parser) -> int:
         else:
             emit(amp, make_comb(eff.Omega, omega, n_max), "gvv")
             emit(amp, make_comb(eff.Omega_grwa, omega, n_max), "grwa")
-        if p.A == 0.0:
-            warnings.append(f"A={amp:g}: {_NO_DRIVE}")
-            continue
         try:
             sol = chrw_solution(p)
             emit(amp, make_comb(sol.Omega_tilde, omega, n_max), "chrw")

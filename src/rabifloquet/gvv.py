@@ -55,7 +55,7 @@ class GvvEffective:
 
 def _partner_photon(p: DriveParams, table) -> int:
     # Fourier index n of the ground-like level paired with |1, 0>.
-    return 1 if table.values[table.max_order] * p.omega0 >= 0.0 else -1
+    return 1 if table[0] * p.omega0 >= 0.0 else -1
 
 
 def _shift_table(p: DriveParams, K: int):
@@ -95,16 +95,12 @@ def gvv_shifts(p: DriveParams, K: int | None = None) -> tuple[float, float, floa
 
 
 def _shifts(p: DriveParams, K: int, n: int, table) -> tuple[float, float, float, float]:
-    j = table.values
-    off = table.max_order  # index offset: J_m = j[m + off]
     w0, w = p.omega0, p.omega
-    j0 = j[off]
+    j0 = table[0]
 
     k = np.concatenate([np.arange(-K, 0), np.arange(1, K + 1)])
     _check_denominators(p, j0, k, n)
-    j2k = j[2 * k + off]
-    j_p = j[2 * k + n + off]
-    j_m = j[2 * k - n + off]
+    j2k, j_p, j_m = table[2 * k], table[2 * k + n], table[2 * k - n]
     den_p = j0 * w0 - (2 * k + n) * w
     den_m = j0 * w0 + (2 * k - n) * w
 

@@ -1,7 +1,8 @@
 """Self-contained numerical kernels.
 
-Integer-order Bessel functions of the first kind, bracketed root finding,
-dense Hermitian eigendecomposition, fixed-step ODE integration with
+Integer-order Bessel functions of the first kind (Miller's downward
+recurrence in ratio form), bracketed root finding, dense Hermitian
+eigendecomposition, fixed-step ODE integration with
 step-halving convergence control (generic and batched linear), and
 spectral peak extraction.
 
@@ -27,7 +28,6 @@ from .errors import (
 
 _BESSEL_X_MAX = 1e6
 _BESSEL_N_MAX = 10_000
-_RESCALE_LIMIT = 1e250
 
 
 # ---------------------------------------------------------------------------
@@ -36,68 +36,64 @@ _RESCALE_LIMIT = 1e250
 
 def _miller_start_order(nmax: int, xmax: float) -> int:
     # Downward recurrence needs to start well above both the target order
-    # and the turning point k ~ x; the sqrt cushion keeps the seeded tail
-    # below double precision at the highest requested order.
+    # and the turning point k ~ x; the sqrt cushion makes the error of the
+    # start ratio r = 0 negligible by the highest requested order.
     m = max(nmax, int(math.ceil(xmax)))
     start = m + 15 * int(math.sqrt(m + 1.0)) + 30
     return start + (start % 2)
 
 
-def _bessel_backward(nmax: int, x: np.ndarray) -> np.ndarray:
-    """All of J_0(x)..J_nmax(x) for x >= 0, shape (nmax+1, len(x)).
+def _miller(nmax: int, x: np.ndarray) -> np.ndarray:
+    # r_k = J_k / J_{k-1} = 1 / (2k/x - r_{k+1}) downward from r = 0; u
+    # gathers sum_{even j >= k} J_j / J_{k-1}, so that J_0 (1 + 2u) = 1 at
+    # k = 1.  At x = 0, 2/x = inf gives r = 0, so J_0 = 1.
+    r = np.zeros_like(x)
+    u = np.zeros_like(x)
+    out = np.empty((nmax + 1, x.size))
+    with np.errstate(all="ignore"):
+        two_over_x = 2.0 / x
+        for k in range(_miller_start_order(nmax, float(np.max(np.abs(x), initial=0.0))), 0, -1):
+            r = 1.0 / (k * two_over_x - r)
+            if k % 2 == 0:
+                u += 1.0
+            u *= r
+            if k <= nmax:
+                out[k] = r
+        out[0] = 1.0 / (1.0 + 2.0 * u)
+        return np.cumprod(out, axis=0)
 
-    Miller's algorithm: seed a tiny value far above nmax, recur downward
-    with J_{k-1} = (2k/x) J_k - J_{k+1}, then normalize with
-    J_0 + 2 sum_{k even >= 2} J_k = 1.
+
+def _bessel_backward(nmax: int, x: np.ndarray) -> np.ndarray:
+    """All of J_0(x)..J_nmax(x) for signed x, shape (nmax+1, len(x)).
+
+    Miller's algorithm in ratio form (Gautschi, SIAM Review 9, 24, 1967):
+    the ratios J_k / J_{k-1} recur downward from far above nmax and never
+    overflow, the normalisation J_0 + 2 sum_{k even >= 2} J_k = 1 fixes
+    J_0, and J_k is J_0 times the ratios up to k.  J_k(-x) = (-1)^k J_k(x)
+    comes out of the recurrence itself.
     """
     x = np.asarray(x, dtype=float)
-    out = np.zeros((nmax + 1, x.size))
-    nonzero = x > 0.0
-    out[0, ~nonzero] = 1.0  # J_0(0) = 1, J_n(0) = 0 for n > 0
-    if not np.any(nonzero):
-        return out
-
-    xs = x[nonzero]
-    start = _miller_start_order(nmax, float(xs.max()))
-    jp = np.zeros_like(xs)            # J_{k+1}
-    jc = np.full_like(xs, 1e-30)      # J_k
-    jm = np.empty_like(xs)            # J_{k-1}, then the next free buffer
-    twice = np.empty_like(xs)
-    norm = np.zeros_like(xs)
-    vals = np.zeros((nmax + 1, xs.size))
-    # Running bounds on max |J_k| and max |J_{k+1}| from
-    # |J_{k-1}| <= (2k / min x) |J_k| + |J_{k+1}|: the arrays are searched
-    # for values past the rescale limit only where the bound allows one,
-    # so rescaling happens at the same steps as with a search every step.
-    x_min = float(xs.min())
-    bound_c, bound_p = 1e-30, 0.0
-    # In-place form of jm = (2k / xs) * jc - jp: the same operations in the
-    # same order, so the values are those of the allocating expression.
-    for k in range(start, 0, -1):
-        np.divide(2.0 * k, xs, out=jm)
-        jm *= jc
-        jm -= jp
-        jp, jc, jm = jc, jm, jp       # jc is now J_{k-1}
-        bound_c, bound_p = (2.0 * k / x_min) * bound_c + bound_p, bound_c
-        order = k - 1
-        if order <= nmax:
-            vals[order] = jc
-        if order > 0 and order % 2 == 0:
-            np.multiply(2.0, jc, out=twice)
-            norm += twice
-        if bound_c > 0.5 * _RESCALE_LIMIT:
-            bound_c = max(float(jc.max()), -float(jc.min()))
-            if bound_c > _RESCALE_LIMIT:
-                big = np.abs(jc) > _RESCALE_LIMIT
-                jp[big] /= _RESCALE_LIMIT
-                jc[big] /= _RESCALE_LIMIT
-                norm[big] /= _RESCALE_LIMIT
-                vals[:, big] /= _RESCALE_LIMIT
-                bound_c = _RESCALE_LIMIT
-    norm += jc                        # add J_0
-    vals /= norm
-    out[:, nonzero] = vals
+    out = _miller(nmax, x)
+    bad = ~np.all(np.isfinite(out), axis=0)
+    if np.any(bad):
+        # A denominator that is exactly zero (x the double nearest a zero
+        # of some J_k) makes a ratio infinite; one ulp away it is finite.
+        out[:, bad] = _miller(nmax, np.nextafter(x[bad], np.inf))
     return out
+
+
+def _checked_domain(x, max_order: int) -> np.ndarray:
+    if max_order >= _BESSEL_N_MAX:
+        raise DomainError(f"Bessel order out of range: {max_order} >= {_BESSEL_N_MAX}")
+    xa = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(xa)) or np.any(np.abs(xa) >= _BESSEL_X_MAX):
+        raise DomainError("Bessel argument out of range (must be finite, |x| < 1e6)")
+    return xa
+
+
+def _signed_order(n, j_abs):
+    """J_n from J_|n| through J_{-n} = (-1)^n J_n."""
+    return np.where((n < 0) & (n % 2 == 1), -j_abs, j_abs)
 
 
 def bessel_j(n: int, x):
@@ -108,53 +104,34 @@ def bessel_j(n: int, x):
     J_{-n}(x) = (-1)^n J_n(x) and J_n(-x) = (-1)^n J_n(x).
     """
     n = int(n)
-    if abs(n) >= _BESSEL_N_MAX:
-        raise DomainError(f"Bessel order out of range: |n|={abs(n)} >= {_BESSEL_N_MAX}")
-    scalar = np.isscalar(x)
-    xa = np.atleast_1d(np.asarray(x, dtype=float))
-    if not np.all(np.isfinite(xa)) or np.any(np.abs(xa) >= _BESSEL_X_MAX):
-        raise DomainError("Bessel argument out of range (must be finite, |x| < 1e6)")
-
-    sign = np.where(xa < 0.0, (-1.0) ** abs(n), 1.0)
-    if n < 0:
-        sign = sign * (-1.0) ** (-n)
-    vals = _bessel_backward(abs(n), np.abs(xa))[abs(n)] * sign
-    return float(vals[0]) if scalar else vals.reshape(np.shape(x))
+    xa = _checked_domain(x, abs(n))
+    vals = _signed_order(n, _bessel_backward(abs(n), xa.ravel())[abs(n)])
+    return float(vals[0]) if np.isscalar(x) else vals.reshape(xa.shape)
 
 
 @dataclass(frozen=True)
 class BesselTable:
     """J_n(x) for all orders n in [-max_order, max_order] at a fixed x."""
 
-    argument: float
     max_order: int
-    values: np.ndarray = field(repr=False)  # index 0 <-> n = -max_order
+    values: np.ndarray = field(repr=False)  # J_0 .. J_max_order
 
-    def __getitem__(self, n: int) -> float:
-        if abs(n) > self.max_order:
-            raise DomainError(f"order {n} outside table range +-{self.max_order}")
-        return float(self.values[n + self.max_order])
-
-    @property
-    def orders(self) -> np.ndarray:
-        return np.arange(-self.max_order, self.max_order + 1)
+    def __getitem__(self, n):
+        """J_n for an int ``n`` (a float) or an int array (an array)."""
+        n = np.asarray(n)
+        m = np.abs(n)
+        if np.max(m, initial=0) > self.max_order:
+            raise DomainError(f"order {np.max(m)} outside table range +-{self.max_order}")
+        vals = _signed_order(n, self.values[m])
+        return float(vals) if vals.ndim == 0 else vals
 
 
 def bessel_table(x: float, max_order: int) -> BesselTable:
     """All J_n(x) for |n| <= max_order from a single downward recurrence."""
     if max_order < 0:
         raise DomainError("max_order must be nonnegative")
-    if max_order >= _BESSEL_N_MAX:
-        raise DomainError(f"max_order out of range: {max_order}")
-    x = float(x)
-    if not math.isfinite(x) or abs(x) >= _BESSEL_X_MAX:
-        raise DomainError("Bessel argument out of range (must be finite, |x| < 1e6)")
-    pos = _bessel_backward(max_order, np.array([abs(x)]))[:, 0]
-    ns = np.arange(-max_order, max_order + 1)
-    vals = pos[np.abs(ns)] * np.where(ns < 0, (-1.0) ** np.abs(ns), 1.0)
-    if x < 0:
-        vals = vals * (-1.0) ** np.abs(ns)
-    return BesselTable(argument=x, max_order=max_order, values=vals)
+    xa = _checked_domain(float(x), max_order)
+    return BesselTable(max_order=max_order, values=_bessel_backward(max_order, xa[None])[:, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -166,8 +143,6 @@ class RootSet:
     """Sorted roots found on a bracket by scan + bracket refinement."""
 
     roots: tuple
-    bracket: tuple
-    tolerance: float
 
     def __len__(self) -> int:
         return len(self.roots)
@@ -264,7 +239,7 @@ def find_roots(
     for r in np.sort(np.concatenate([xs[ys == 0.0], refined])):
         if not roots or r - roots[-1] > resolution * 0.5:
             roots.append(float(r))
-    return RootSet(roots=tuple(roots), bracket=(lo, hi), tolerance=tol)
+    return RootSet(roots=tuple(roots))
 
 
 # ---------------------------------------------------------------------------

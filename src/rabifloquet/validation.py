@@ -157,8 +157,6 @@ def check_coefficient_closure() -> CheckResult:
     n_checked = 0
     for omega in np.linspace(0.5, 2.0, 50):
         for amp in np.linspace(0.0, 2.0, 50):
-            if amp == 0.0:
-                continue  # no drive: the series is empty and P1 = 0 identically
             p = DriveParams(1.0, float(amp), float(omega))
             try:
                 sol = chrw_solution(p)

@@ -57,6 +57,12 @@ class TestSolutionStructure:
         with pytest.raises(NoSolutionError):
             chrw_solution(DriveParams(1.0, 5.0, 1.0))
 
+    def test_zero_drive_has_no_solution(self):
+        # solve_xi rejects A = 0 outright; the series route reports it as
+        # a point without an answer
+        with pytest.raises(NoSolutionError, match="A = 0"):
+            chrw_solution(DriveParams(1.0, 0.0, 1.0))
+
     def test_multi_root_raises_with_roots(self):
         with pytest.raises(AmbiguousSolutionError) as excinfo:
             chrw_solution(DriveParams(1.0, 1.41, 0.27))

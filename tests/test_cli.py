@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -111,6 +112,20 @@ class TestOtherSubcommands:
         rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
         sources = {row[3] for row in rows}
         assert sources == {"numeric", "gvv", "grwa", "chrw"}
+
+    def test_routes_finite_at_coherent_destruction(self):
+        # A/omega is the double nearest the first zero of J_0, where the
+        # Bessel recurrence meets an exactly zero denominator
+        amp = "2.404825557695773"
+        proc = run_cli(["spectrum", "--omega", "1", "--amp-range", f"{amp}:{amp}:1"])
+        assert proc.returncode == 0, proc.stderr
+        rows = [line.split(",") for line in proc.stdout.splitlines()[1:]]
+        assert {row[3] for row in rows} == {"numeric", "gvv", "grwa", "chrw"}
+        assert all(math.isfinite(float(row[1])) for row in rows)
+        proc = run_cli(["dynamics", "--omega", "1", "--amp", amp, "--periods", "0.5"])
+        assert proc.returncode == 0, proc.stderr
+        rows = [line.split(",") for line in proc.stdout.splitlines()[1:]]
+        assert rows and all(math.isfinite(float(v)) for row in rows for v in row)
 
     def test_spectrum_through_pair_resonance(self, tmp_path):
         # at A = 0, omega = 1 the reduced pair itself is resonant

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rabifloquet.errors import (
     ContractViolationError,
@@ -90,8 +92,8 @@ class TestBessel:
 
 
 def bessel_backward_reference(nmax, x):
-    """The allocating Miller loop that ``_bessel_backward`` replaced, kept
-    as the bit-for-bit reference; also returns how often it rescaled."""
+    """The seeded Miller loop with overflow rescaling that the ratio form
+    replaced, kept as the reference; also returns how often it rescaled."""
     x = np.asarray(x, dtype=float)
     out = np.zeros((nmax + 1, x.size))
     nonzero = x > 0.0
@@ -128,8 +130,8 @@ def bessel_backward_reference(nmax, x):
 
 
 class TestBesselBackward:
-    def test_bit_identical_to_reference_loop(self):
-        # tiny arguments drive the seeded recurrence past 1e250, so the
+    def test_matches_reference_loop(self):
+        # tiny arguments drive the seeded reference past 1e250, so its
         # rescaling branch runs on part of each array
         tiny = np.array([0.0, 1e-8, 1e-5, 1e-3, 0.5, 3.0])
         cases = [(n, tiny) for n in (0, 1, 2, 7)]
@@ -139,8 +141,53 @@ class TestBesselBackward:
         for nmax, x in cases:
             expected, rescales = bessel_backward_reference(nmax, x)
             rescaled += rescales > 0
-            assert np.array_equal(_bessel_backward(nmax, x), expected)
+            got = _bessel_backward(nmax, x)
+            err = np.abs(got - expected)
+            assert np.max(err) <= 2e-15
+            # past the turning point the values decay fast; there they
+            # must agree relative to their own size
+            tail = np.arange(nmax + 1)[:, None] > 2.0 * x + 2.0
+            assert np.all(err[tail] <= 1e-13 * np.abs(expected[tail]))
         assert rescaled >= 5
+
+    def test_exact_zero_denominator(self):
+        # the double nearest the first zero of J_0: the recurrence's last
+        # denominator 2/x - J_2/J_1 is exactly zero there
+        x = 2.404825557695773
+        assert bessel_j(1, x) == pytest.approx(bessel_series(1, x), abs=1e-15)
+        for m in range(301):
+            assert np.all(np.isfinite(bessel_table(x, m).values))
+
+
+ORDERS = st.integers(-30, 30)
+ARGUMENTS = st.floats(-100.0, 100.0)
+
+
+class TestBesselProperties:
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(n=ORDERS, x=ARGUMENTS)
+    def test_reflections(self, n, x):
+        sign = (-1.0) ** n
+        assert bessel_j(n, x) == pytest.approx(sign * bessel_j(-n, x), abs=1e-14)
+        assert bessel_j(n, x) == pytest.approx(sign * bessel_j(n, -x), abs=1e-14)
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(n=ORDERS, x=ARGUMENTS, extra=st.integers(0, 10))
+    def test_table_matches_bessel_j(self, n, x, extra):
+        table = bessel_table(x, abs(n) + extra)
+        assert table[n] == pytest.approx(bessel_j(n, x), abs=1e-15)
+        orders = np.array([n, -n, 0, abs(n) + extra])
+        expected = [bessel_j(int(k), x) for k in orders]
+        np.testing.assert_allclose(table[orders], expected, rtol=0, atol=1e-15)
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(n=ORDERS, x=ARGUMENTS)
+    def test_recurrence_and_normalization(self, n, x):
+        # x (J_{n-1} + J_{n+1}) = 2 n J_n, and J_0 + 2 sum_{k>=1} J_{2k} = 1
+        table = bessel_table(x, 2 * int(abs(x)) + 60)
+        assert x * (table[n - 1] + table[n + 1]) == pytest.approx(2 * n * table[n], abs=1e-11)
+        assert table[0] + 2.0 * table[np.arange(2, table.max_order + 1, 2)].sum() == (
+            pytest.approx(1.0, abs=1e-11))
 
 
 def budgeted(f, budget):
