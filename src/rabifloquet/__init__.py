@@ -58,9 +58,9 @@ from .model import (
 from .numerics import (
     BesselTable,
     EigenDecomposition,
-    RootSet,
     bessel_j,
     bessel_table,
+    count_roots,
     dominant_peaks,
     eig_hermitian,
     evolve_linear,

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import AmbiguousSolutionError, DomainError, NoSolutionError
 from .model import DriveParams, TimeSeries
-from .numerics import RootSet, bessel_j, bessel_table, find_roots
+from .numerics import bessel_j, bessel_table, count_roots, find_roots
 
 # Uniform scan resolution and root tolerance of the xi condition on [0, 1].
 SCAN_POINTS = 4000
@@ -75,8 +75,8 @@ def _xi_residual(p: DriveParams):
     return f
 
 
-def solve_xi(p: DriveParams) -> RootSet:
-    """All roots of the xi self-consistency condition on [0, 1]."""
+def solve_xi(p: DriveParams) -> tuple:
+    """All roots of the xi self-consistency condition on [0, 1], ascending."""
     if p.A == 0.0:
         raise DomainError("xi condition is degenerate at A = 0 (no drive to renormalize)")
     return find_roots(_xi_residual(p), 0.0, 1.0, scan_points=SCAN_POINTS, tol=ROOT_TOL)
@@ -85,8 +85,9 @@ def solve_xi(p: DriveParams) -> RootSet:
 def solution_count_map(omega_range, A_range) -> SolutionCountMap:
     """Number of xi roots per (omega, A) grid cell.
 
-    ``omega_range`` and ``A_range`` are explicit 1-d grids.  Cells with
-    A = 0 are assigned one solution from the analytic weak-drive limit.
+    ``omega_range`` and ``A_range`` are explicit 1-d grids.  A cell holds
+    ``len(solve_xi(...))``, counted on the scan without refining; cells
+    with A = 0 are assigned one solution from the analytic weak-drive limit.
     """
     omega_axis = np.asarray(omega_range, dtype=float)
     A_axis = np.asarray(A_range, dtype=float)
@@ -94,13 +95,12 @@ def solution_count_map(omega_range, A_range) -> SolutionCountMap:
         raise DomainError("omega and A ranges must be non-empty 1-d grids")
     if np.any(omega_axis <= 0) or np.any(A_axis < 0):
         raise DomainError("omega values must be positive and A values nonnegative")
-    counts = np.zeros((len(A_axis), len(omega_axis)), dtype=int)
+    counts = np.ones((len(A_axis), len(omega_axis)), dtype=int)
     for i, a in enumerate(A_axis):
         for j, w in enumerate(omega_axis):
-            if a == 0.0:
-                counts[i, j] = 1
-            else:
-                counts[i, j] = len(solve_xi(DriveParams(omega0=1.0, A=a, omega=w)))
+            if a > 0.0:
+                p = DriveParams(omega0=1.0, A=a, omega=w)
+                counts[i, j] = count_roots(_xi_residual(p), 0.0, 1.0, SCAN_POINTS)
     return SolutionCountMap(omega_axis=omega_axis, A_axis=A_axis, counts=counts)
 
 
@@ -122,9 +122,9 @@ def chrw_solution(p: DriveParams) -> ChrwSolution:
     if len(roots) > 1:
         raise AmbiguousSolutionError(
             f"{len(roots)} xi roots found; the single-weight ansatz is not applicable",
-            roots=roots.roots,
+            roots=roots,
         )
-    xi = roots.roots[0]
+    xi = roots[0]
     a_tilde = 2.0 * p.A * (1.0 - xi)
     delta_tilde = bessel_j(0, p.A * xi / p.omega) * p.omega0 - p.omega
     omega_tilde = math.sqrt(delta_tilde**2 + 0.25 * a_tilde**2)

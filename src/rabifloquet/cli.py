@@ -33,7 +33,7 @@ from .errors import (
 )
 from .floquet import dynamic_base, make_comb, p1_direct, p1_floquet
 from .gvv import gvv_effective
-from .model import DensityMatrix, DriveParams
+from .model import DensityMatrix, DriveParams, PureState
 from .open_system import DecayRates, evolve_gvv_lindblad, evolve_lab_lindblad
 from .validation import run_all
 
@@ -258,7 +258,7 @@ def _cmd_open(cfg: dict, parser) -> int:
     d = DecayRates(Gamma_10=g10 * omega, gamma_11=g11 * omega,
                    Gamma_01=g01 * omega, gamma_00=g00 * omega)
     t = _time_grid(p.period, periods, samples)
-    lab = evolve_lab_lindblad(p, d, DensityMatrix(np.diag([0.0, 1.0]).astype(complex)), t)
+    lab = evolve_lab_lindblad(p, d, DensityMatrix.from_pure(PureState.ground()), t)
     red = evolve_gvv_lindblad(p, d, t, K=None if ksum is None else int(ksum))
     _write_output(cfg, {
         "t": list(t),

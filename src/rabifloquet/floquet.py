@@ -120,17 +120,16 @@ def lab_parity_chain(p: DriveParams, N: int = DEFAULT_TRUNCATION) -> FloquetMatr
     The generalised parity sigma_z (-1)^n commutes with the lab matrix,
     because the sigma_x coupling flips the spin and the photon number
     together.  The sector holding |0, 0> is a real symmetric tridiagonal
-    chain: row n + N is |0, n> for even n and |1, n> for odd n, its
-    diagonal is n omega - (-1)^n omega0/2 and its off-diagonal A/4.  The
-    other sector's spectrum is the negative of this one (n -> -n), so the
-    chain holds both folded quasienergy classes.
+    chain: row n + N is |0, n> for even n and |1, n> for odd n (row
+    2(n + N) + [n even] of the full matrix), its diagonal is
+    n omega - (-1)^n omega0/2 and its off-diagonal A/4.  The other
+    sector's spectrum is the negative of this one (n -> -n), so the chain
+    holds both folded quasienergy classes.
     """
-    bandwidth = _bandwidth(p, N)
+    full = build_floquet_matrix_lab(p, N)
     n = np.arange(-N, N + 1)
-    coupling = np.full(2 * N, 0.25 * p.A)
-    h = (np.diag(n * p.omega + 0.5 * p.omega0 * np.where(n % 2, 1.0, -1.0))
-         + np.diag(coupling, 1) + np.diag(coupling, -1))
-    return FloquetMatrix(truncation=N, matrix=h, bandwidth=bandwidth)
+    rows = 2 * (n + N) + (n % 2 == 0)
+    return FloquetMatrix(truncation=N, matrix=full.matrix[np.ix_(rows, rows)], bandwidth=full.bandwidth)
 
 
 def _interior_mask(raw: np.ndarray, F: FloquetMatrix, omega: float) -> np.ndarray:

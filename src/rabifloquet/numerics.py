@@ -15,7 +15,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -138,16 +138,6 @@ def bessel_table(x: float, max_order: int) -> BesselTable:
 # Bracketed root finding
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RootSet:
-    """Sorted roots found on a bracket by scan + bracket refinement."""
-
-    roots: tuple
-
-    def __len__(self) -> int:
-        return len(self.roots)
-
-
 def _check_finite(x: np.ndarray, y: np.ndarray) -> None:
     if not np.all(np.isfinite(y)):
         bad = x[~np.isfinite(y)][0]
@@ -199,27 +189,14 @@ def _refine(f, a: np.ndarray, b: np.ndarray, fa: np.ndarray, fb: np.ndarray, tol
         second = not second
 
 
-def find_roots(
-    f: Callable[[np.ndarray], np.ndarray],
-    lo: float,
-    hi: float,
-    scan_points: int = 4000,
-    tol: float = 1e-10,
-) -> RootSet:
-    """Roots of ``f`` on [lo, hi] by uniform scan and bracket refinement.
+def _scan(f, lo: float, hi: float, scan_points: int):
+    """Grid, values and sign-change cells of ``f`` on a uniform scan of [lo, hi].
 
-    Every sign change between adjacent scan samples is refined to a
-    bracket of width <= tol (all of them together, by safeguarded
-    Illinois regula falsi); exact zeros landing on grid points are
-    reported once.  ``f`` must be vectorised: the scan calls it once on
-    the array of scan points, and each refinement round once on the
-    array of the open brackets' trial points.
+    ``f`` must be vectorised: it is called once, on the whole grid.  Cell
+    i is [xs[i], xs[i + 1]]; a sign-change cell has no zero end.
     """
     if not lo < hi:
         raise DomainError(f"invalid bracket [{lo}, {hi}]")
-    if not (math.isfinite(tol) and tol > 0.0):
-        # a bracket cannot shrink below one ulp, so refinement to tol <= 0 never ends
-        raise DomainError(f"tol must be finite and > 0, got {tol}")
     if scan_points < 2:
         raise DomainError("scan_points must be >= 2")
     xs = np.linspace(lo, hi, scan_points)
@@ -229,17 +206,41 @@ def find_roots(
             f"f returned shape {ys.shape} on {scan_points} scan points; it must be vectorised"
         )
     _check_finite(xs, ys)
+    # signs, not values, are multiplied: a product of two tiny values underflows to zero
+    return xs, ys, np.flatnonzero(np.sign(ys[:-1]) * np.sign(ys[1:]) < 0.0)
 
-    cell = np.flatnonzero(ys[:-1] * ys[1:] < 0.0)
+
+def count_roots(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
+                scan_points: int = 4000) -> int:
+    """Number of roots :func:`find_roots` returns, without refining them.
+
+    One per sign-change cell of the scan and one per grid point where
+    ``f`` is exactly zero.
+    """
+    _, ys, cell = _scan(f, lo, hi, scan_points)
+    return len(cell) + int(np.count_nonzero(ys == 0.0))
+
+
+def find_roots(
+    f: Callable[[np.ndarray], np.ndarray],
+    lo: float,
+    hi: float,
+    scan_points: int = 4000,
+    tol: float = 1e-10,
+) -> tuple:
+    """Sorted roots of ``f`` on [lo, hi] by uniform scan and bracket refinement.
+
+    The grid points where ``f`` is exactly zero, and every sign-change
+    cell refined to a bracket of width <= tol (all of them together, by
+    safeguarded Illinois regula falsi).  Each refinement round calls the
+    vectorised ``f`` once, on the open brackets' trial points.
+    """
+    if not (math.isfinite(tol) and tol > 0.0):
+        # a bracket cannot shrink below one ulp, so refinement to tol <= 0 never ends
+        raise DomainError(f"tol must be finite and > 0, got {tol}")
+    xs, ys, cell = _scan(f, lo, hi, scan_points)
     refined = _refine(f, xs[cell], xs[cell + 1], ys[cell], ys[cell + 1], tol)
-    # Each refined root lies inside its own scan cell, so sorting by value
-    # keeps the scan order of grid zeros and refined roots.
-    resolution = (hi - lo) / (scan_points - 1)
-    roots: list[float] = []
-    for r in np.sort(np.concatenate([xs[ys == 0.0], refined])):
-        if not roots or r - roots[-1] > resolution * 0.5:
-            roots.append(float(r))
-    return RootSet(roots=tuple(roots))
+    return tuple(np.sort(np.concatenate([xs[ys == 0.0], refined])).tolist())
 
 
 # ---------------------------------------------------------------------------

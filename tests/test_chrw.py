@@ -25,7 +25,7 @@ class TestSolveXi:
         rng = np.random.default_rng(13)
         for _ in range(20):
             p = DriveParams(1.0, float(rng.uniform(0.1, 8.0)), float(rng.uniform(0.3, 2.0)))
-            for xi in solve_xi(p).roots:
+            for xi in solve_xi(p):
                 res = 0.5 * p.A * (1.0 - xi) - p.omega0 * bessel_j(1, p.A * xi / p.omega)
                 assert abs(res) <= 1e-10 * max(p.A, p.omega0)
 
@@ -35,7 +35,7 @@ class TestSolveXi:
             p = DriveParams(1.0, 1e-4, omega)
             roots = solve_xi(p)
             assert len(roots) == 1
-            assert roots.roots[0] == pytest.approx(omega / (omega + 1.0), abs=1e-3)
+            assert roots[0] == pytest.approx(omega / (omega + 1.0), abs=1e-3)
 
     def test_zero_drive_degenerate(self):
         with pytest.raises(DomainError):
@@ -69,13 +69,18 @@ class TestSolutionStructure:
         assert len(excinfo.value.roots) == 2
 
     def test_count_map_cells(self):
-        grid = solution_count_map([0.27, 0.6, 1.0], [0.0, 1.0, 1.41, 3.0])
+        grid = solution_count_map([0.15, 0.27, 0.6, 1.0], [0.0, 1.0, 1.35, 1.41, 3.0])
         omega_idx = {w: j for j, w in enumerate(grid.omega_axis)}
         amp_idx = {a: i for i, a in enumerate(grid.A_axis)}
         assert grid.counts[amp_idx[1.0], omega_idx[1.0]] == 1
         assert grid.counts[amp_idx[3.0], omega_idx[0.6]] == 0
         assert grid.counts[amp_idx[1.41], omega_idx[0.27]] == 2
+        assert grid.counts[amp_idx[1.35], omega_idx[0.15]] == 3
         assert grid.counts[amp_idx[0.0], omega_idx[1.0]] == 1  # analytic weak-drive limit
+        # the counts are read off the scan, and they are the number of refined roots
+        for i, a in enumerate(grid.A_axis[1:], start=1):
+            for j, w in enumerate(grid.omega_axis):
+                assert grid.counts[i, j] == len(solve_xi(DriveParams(1.0, float(a), float(w))))
 
     def test_count_map_range_form(self):
         grid = solution_count_map([0.5, 0.75, 1.0], [0.5, 0.75, 1.0])

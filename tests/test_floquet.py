@@ -105,6 +105,12 @@ class TestParityChain:
             rest = np.setdiff1d(np.arange(2 * (2 * N + 1)), rows)
             assert np.array_equal(chain.matrix, full.matrix[np.ix_(rows, rows)])
             assert not np.any(full.matrix[np.ix_(rows, rest)])  # parity is conserved
+            # the documented chain: diagonal n omega - (-1)^n omega0/2, off-diagonal A/4
+            n = np.arange(-N, N + 1)
+            coupling = np.full(2 * N, 0.25 * amp)
+            expected = (np.diag(n * omega - 0.5 * (-1.0) ** n)
+                        + np.diag(coupling, 1) + np.diag(coupling, -1))
+            assert np.allclose(chain.matrix, expected, rtol=0.0, atol=1e-14)
             assert (chain.truncation, chain.bandwidth) == (full.truncation, full.bandwidth)
 
     def test_eigenvalues_are_a_subset_of_the_full_matrix(self):

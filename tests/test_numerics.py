@@ -16,6 +16,7 @@ from rabifloquet.numerics import (
     _miller_start_order,
     bessel_j,
     bessel_table,
+    count_roots,
     dominant_peaks,
     eig_hermitian,
     evolve_linear,
@@ -204,7 +205,7 @@ class TestFindRoots:
     def test_sqrt_two(self):
         roots = find_roots(lambda x: x * x - 2.0, 0.0, 2.0, tol=1e-10)
         assert len(roots) == 1
-        assert roots.roots[0] == pytest.approx(math.sqrt(2.0), abs=1e-9)
+        assert roots[0] == pytest.approx(math.sqrt(2.0), abs=1e-9)
 
     def test_no_sign_change(self):
         assert len(find_roots(lambda x: x * x + 1.0, -1.0, 1.0)) == 0
@@ -221,15 +222,15 @@ class TestFindRoots:
             found = find_roots(lambda x: np.polyval(poly, x), -1.0, 1.0,
                                scan_points=4000, tol=1e-12)
             assert len(found) == n_roots
-            assert np.allclose(found.roots, true, atol=1e-9)
-            for r in found.roots:
+            assert np.allclose(found, true, atol=1e-9)
+            for r in found:
                 lo_val, mid_val, hi_val = np.polyval(poly, [r - 1e-12, r, r + 1e-12])
                 assert mid_val == 0.0 or lo_val * hi_val < 0.0
 
     def test_grid_zero_reported_once(self):
         roots = find_roots(lambda x: x, -1.0, 1.0, scan_points=5)
         assert len(roots) == 1
-        assert roots.roots[0] == pytest.approx(0.0, abs=1e-12)
+        assert roots[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_nonfinite_value_raises(self):
         with pytest.raises(EvaluationError):
@@ -246,7 +247,7 @@ class TestFindRoots:
         cell = (hi - lo) / (scan_points - 1)
         f = budgeted(lambda x: np.polyval(poly, x), 1 + 2 * math.ceil(math.log2(cell / tol)))
         found = find_roots(f, lo, hi, scan_points=scan_points, tol=tol)
-        assert np.allclose(found.roots, true, atol=1e-9)
+        assert np.allclose(found, true, atol=1e-9)
         assert f.ndims == [1] * len(f.ndims)
 
     def test_safeguard_bound_on_stalling_bracket(self):
@@ -257,7 +258,7 @@ class TestFindRoots:
         tol = 1e-12
         f = budgeted(lambda x: np.exp(200.0 * x) - 2.0, 1 + 2 * math.ceil(math.log2(1.0 / tol)))
         found = find_roots(f, 0.0, 1.0, scan_points=2, tol=tol)
-        assert found.roots == pytest.approx((math.log(2.0) / 200.0,), abs=tol)
+        assert found == pytest.approx((math.log(2.0) / 200.0,), abs=tol)
 
     def test_nonfinite_value_at_refinement_point_raises(self):
         # NaN only near the root, off the scan grid 0, 0.1, ..., 1: the
@@ -285,6 +286,59 @@ class TestFindRoots:
             find_roots(lambda x: 0.5, 0.0, 1.0)
         with pytest.raises(ContractViolationError):
             find_roots(lambda x: np.sum(x) - 1.0, 0.0, 1.0)
+
+
+    def test_close_pair_across_a_grid_point(self):
+        # Two roots 1e-5 either side of grid point 2000 of the 4000-point
+        # scan of [0, 1]: the sign changes sit in adjacent cells, and both
+        # roots are reported although they are closer than half a cell.
+        c = np.linspace(0.0, 1.0, 4000)[2000]
+        d = 1e-5
+
+        def f(x):
+            return (x - c + d) * (x - c - d)
+
+        found = find_roots(f, 0.0, 1.0, scan_points=4000, tol=1e-12)
+        assert count_roots(f, 0.0, 1.0, scan_points=4000) == 2
+        assert found == pytest.approx((c - d, c + d), abs=1e-12)
+
+    def test_tiny_residual_keeps_its_root(self):
+        # samples of size 1e-200 either side of the root: their product
+        # underflows to zero, their signs do not
+        def f(x):
+            return 1e-200 * (x - 0.3)
+
+        assert count_roots(f, 0.0, 1.0) == 1
+        assert find_roots(f, 0.0, 1.0, tol=1e-12) == pytest.approx((0.3,), abs=1e-12)
+
+    def test_count_roots_checks_the_scan(self):
+        assert count_roots(lambda x: x, -1.0, 1.0, scan_points=5) == 1
+        with pytest.raises(DomainError):
+            count_roots(lambda x: x, 1.0, 1.0)
+        with pytest.raises(DomainError):
+            count_roots(lambda x: x, 0.0, 1.0, scan_points=1)
+        with pytest.raises(ContractViolationError):
+            count_roots(lambda x: 0.5, 0.0, 1.0)
+        with pytest.raises(EvaluationError):
+            count_roots(lambda x: np.where(np.asarray(x) > 0.5, np.nan, x - 0.1), 0.0, 1.0)
+
+
+class TestFindRootsProperties:
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(lo=st.floats(-2.0, 1.0), width=st.floats(0.1, 3.0),
+           fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6),
+           scan_points=st.integers(2, 500))
+    def test_count_is_the_number_of_roots_found(self, lo, width, fractions, scan_points):
+        hi = lo + width
+        poly = np.poly([lo + u * width for u in fractions])
+
+        def f(x):
+            return np.polyval(poly, x)
+
+        found = find_roots(f, lo, hi, scan_points=scan_points, tol=1e-12)
+        assert len(found) == count_roots(f, lo, hi, scan_points=scan_points)
+        assert all(b > a for a, b in zip(found, found[1:]))
+        assert all(lo <= r <= hi for r in found)
 
 
 class TestEigHermitian:
