@@ -11,6 +11,13 @@ Subcommands:
 All closed-model quantities are dimensionless with omega0 = 1; the open
 subcommand quotes rates relative to omega.  Output is CSV (default) or
 JSON; identical configurations produce byte-identical files.
+
+``build_parser`` is the only declaration of an option (name, type,
+default, required).  A ``--config`` JSON file, given before or after the
+subcommand, holds flag values keyed by option name; they are parsed as
+flags placed right after the subcommand, so they meet the same checks and
+explicit flags win.  JSON ``meta.config`` echoes the effective values,
+defaults included.
 """
 
 from __future__ import annotations
@@ -31,21 +38,11 @@ from .errors import (
     NoSolutionError,
     RabiFloquetError,
 )
-from .floquet import dynamic_base, make_comb, p1_direct, p1_floquet
+from .floquet import DEFAULT_TRUNCATION, dynamic_base, make_comb, p1_direct, p1_floquet
 from .gvv import gvv_effective
 from .model import DensityMatrix, DriveParams, PureState
 from .open_system import DecayRates, evolve_gvv_lindblad, evolve_lab_lindblad
 from .validation import run_all
-
-# Keys accepted from a JSON config file, per subcommand.
-_CONFIG_KEYS = {
-    "dynamics": {"omega", "amp", "periods", "samples", "truncation", "out", "format"},
-    "spectrum": {"omega", "amp_range", "truncation", "ksum", "nmax", "out", "format"},
-    "chrw-map": {"omega_range", "amp_range", "out", "format"},
-    "open": {"omega", "amp", "gamma10", "gamma11", "gamma01", "gamma00",
-             "periods", "samples", "ksum", "out", "format"},
-    "validate": set(),
-}
 
 
 def _fmt(x) -> str:
@@ -72,8 +69,9 @@ def _parse_range(text: str) -> tuple[float, float, float]:
         lo, hi, step = (float(p) for p in parts)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
-    if step <= 0 or hi < lo:
-        raise argparse.ArgumentTypeError("need hi >= lo and step > 0")
+    # false for nan; hi - lo + step is inf if any bound is
+    if not (step > 0 and hi >= lo and math.isfinite(hi - lo + step)):
+        raise argparse.ArgumentTypeError("need finite hi >= lo and step > 0")
     return lo, hi, step
 
 
@@ -83,45 +81,11 @@ def _range_axis(rng: tuple[float, float, float]) -> np.ndarray:
     return lo + step * np.arange(n)
 
 
-def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> dict:
-    """File values as the base layer, explicit flags on top."""
-    cfg = {}
-    if args.config:
-        try:
-            with open(args.config, encoding="utf-8") as fh:
-                cfg = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            parser.error(f"cannot read config {args.config}: {exc}")
-        if not isinstance(cfg, dict):
-            parser.error("config file must hold a JSON object")
-        allowed = _CONFIG_KEYS[args.subcommand]
-        unknown = set(cfg) - allowed
-        if unknown:
-            parser.error(f"unknown config keys for {args.subcommand}: {sorted(unknown)}")
-    merged = dict(cfg)
-    for key, value in vars(args).items():
-        if key in ("config", "subcommand", "func"):
-            continue
-        if value is not None:
-            merged[key] = value
-    return merged
-
-
-def _require(cfg: dict, key: str, parser, cast=float):
-    if key not in cfg or cfg[key] is None:
-        parser.error(f"missing required option --{key.replace('_', '-')}")
-    try:
-        return cast(cfg[key])
-    except (TypeError, ValueError) as exc:
-        parser.error(f"bad value for {key}: {exc}")
-
-
-def _write_output(cfg: dict, columns: dict, warnings: list[str]) -> None:
+def _write_output(args: argparse.Namespace, columns: dict, warnings: list[str]) -> None:
     """Write the column table as CSV or JSON, plus a warnings sidecar."""
-    fmt = cfg.get("format", "csv")
-    out = cfg.get("out")
-    if fmt == "json":
-        echo = {k: v for k, v in cfg.items() if k not in ("out", "format") and v is not None}
+    if args.format == "json":
+        echo = {k: v for k, v in vars(args).items()
+                if k not in ("func", "out", "format") and v is not None}
         doc = {
             "meta": {"version": __version__, "config": echo, "warnings": warnings},
             "data": {name: [_json_cell(v) for v in values]
@@ -137,11 +101,11 @@ def _write_output(cfg: dict, columns: dict, warnings: list[str]) -> None:
                 _fmt(columns[name][i]) if not isinstance(columns[name][i], str)
                 else columns[name][i] for name in names))
         text = "\n".join(lines) + "\n"
-    if out:
-        with open(out, "w", encoding="utf-8", newline="\n") as fh:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
-        if warnings and fmt != "json":
-            with open(str(out) + ".warnings", "w", encoding="utf-8", newline="\n") as fh:
+        if warnings and args.format != "json":
+            with open(args.out + ".warnings", "w", encoding="utf-8", newline="\n") as fh:
                 fh.write("\n".join(warnings) + "\n")
     else:
         sys.stdout.write(text)
@@ -153,17 +117,12 @@ def _time_grid(period: float, periods: float, samples: int) -> np.ndarray:
     return np.linspace(0.0, periods * period, samples)
 
 
-def _cmd_dynamics(cfg: dict, parser) -> int:
-    omega = _require(cfg, "omega", parser)
-    amp = _require(cfg, "amp", parser)
-    periods = _require(cfg, "periods", parser)
-    samples = int(cfg.get("samples", 800))
-    trunc = int(cfg.get("truncation", 30))
-    p = DriveParams(omega0=1.0, A=amp, omega=omega)
-    t = _time_grid(p.period, periods, samples)
+def _cmd_dynamics(args: argparse.Namespace) -> int:
+    p = DriveParams(omega0=1.0, A=args.amp, omega=args.omega)
+    t = _time_grid(p.period, args.periods, args.samples)
 
     numeric = p1_direct(p, t)
-    floquet = p1_floquet(p, trunc, t)
+    floquet = p1_floquet(p, args.truncation, t)
     warnings: list[str] = []
     chrw_col = [None] * len(t)
     try:
@@ -171,7 +130,7 @@ def _cmd_dynamics(cfg: dict, parser) -> int:
         chrw_col = list(p1_chrw(sol, chrw_coefficients(sol, p), t).p1)
     except (NoSolutionError, AmbiguousSolutionError) as exc:
         warnings.append(f"analytic series unavailable: {exc}")
-    _write_output(cfg, {
+    _write_output(args, {
         "t": list(t),
         "p1_numeric": list(numeric.p1),
         "p1_chrw": chrw_col,
@@ -180,18 +139,8 @@ def _cmd_dynamics(cfg: dict, parser) -> int:
     return 0
 
 
-def _cmd_spectrum(cfg: dict, parser) -> int:
-    omega = _require(cfg, "omega", parser)
-    rng = cfg.get("amp_range")
-    if rng is None:
-        parser.error("missing required option --amp-range")
-    if isinstance(rng, str):
-        rng = _parse_range(rng)
-    amps = _range_axis(tuple(float(v) for v in rng))
-    trunc = int(cfg.get("truncation", 30))
-    ksum = cfg.get("ksum")
-    n_max = int(cfg.get("nmax", 4))
-
+def _cmd_spectrum(args: argparse.Namespace) -> int:
+    omega, n_max = args.omega, args.nmax
     cols = {"A_over_omega0": [], "line_frequency": [], "label": [], "source": []}
     warnings: list[str] = []
 
@@ -202,11 +151,11 @@ def _cmd_spectrum(cfg: dict, parser) -> int:
             cols["label"].append(label)
             cols["source"].append(source)
 
-    for amp in amps:
+    for amp in _range_axis(args.amp_range):
         p = DriveParams(omega0=1.0, A=float(amp), omega=omega)
-        emit(amp, make_comb(dynamic_base(p, trunc), omega, n_max), "numeric")
+        emit(amp, make_comb(dynamic_base(p, args.truncation), omega, n_max), "numeric")
         try:
-            eff = gvv_effective(p, None if ksum is None else int(ksum))
+            eff = gvv_effective(p, args.ksum)
         except MultiphotonResonanceError as exc:
             warnings.append(f"A={amp:g}: gvv unavailable: {exc}")
         else:
@@ -217,58 +166,43 @@ def _cmd_spectrum(cfg: dict, parser) -> int:
             emit(amp, make_comb(sol.Omega_tilde, omega, n_max), "chrw")
         except (NoSolutionError, AmbiguousSolutionError) as exc:
             warnings.append(f"A={amp:g}: analytic series unavailable: {exc}")
-    _write_output(cfg, cols, warnings)
+    _write_output(args, cols, warnings)
     return 0
 
 
-def _cmd_chrw_map(cfg: dict, parser) -> int:
-    orng = cfg.get("omega_range")
-    arng = cfg.get("amp_range")
-    if orng is None or arng is None:
-        parser.error("chrw-map needs --omega-range and --amp-range")
-    if isinstance(orng, str):
-        orng = _parse_range(orng)
-    if isinstance(arng, str):
-        arng = _parse_range(arng)
-    omega_axis = _range_axis(tuple(float(v) for v in orng))
-    amp_axis = _range_axis(tuple(float(v) for v in arng))
-    grid = solution_count_map(omega_axis, amp_axis)
-    cols = {"omega_over_omega0": [], "A_over_omega0": [], "count": []}
-    for i, amp in enumerate(grid.A_axis):
-        for j, omega in enumerate(grid.omega_axis):
-            cols["omega_over_omega0"].append(float(omega))
-            cols["A_over_omega0"].append(float(amp))
-            cols["count"].append(int(grid.counts[i, j]))
-    _write_output(cfg, cols, [])
-    return 0
-
-
-def _cmd_open(cfg: dict, parser) -> int:
-    omega = _require(cfg, "omega", parser)
-    amp = _require(cfg, "amp", parser)
-    g10 = _require(cfg, "gamma10", parser)
-    g11 = _require(cfg, "gamma11", parser)
-    periods = _require(cfg, "periods", parser)
-    g01 = float(cfg.get("gamma01", 0.0))
-    g00 = float(cfg.get("gamma00", 0.0))
-    samples = int(cfg.get("samples", 481))
-    ksum = cfg.get("ksum")
-
-    p = DriveParams(omega0=1.0, A=amp, omega=omega)
-    d = DecayRates(Gamma_10=g10 * omega, gamma_11=g11 * omega,
-                   Gamma_01=g01 * omega, gamma_00=g00 * omega)
-    t = _time_grid(p.period, periods, samples)
-    lab = evolve_lab_lindblad(p, d, DensityMatrix.from_pure(PureState.ground()), t)
-    red = evolve_gvv_lindblad(p, d, t, K=None if ksum is None else int(ksum))
-    _write_output(cfg, {
-        "t": list(t),
-        "p1_lab_lindblad": list(lab.p1),
-        "p1_gvv_lindblad": list(red.p1),
+def _cmd_chrw_map(args: argparse.Namespace) -> int:
+    grid = solution_count_map(_range_axis(args.omega_range), _range_axis(args.amp_range))
+    n_amp, n_omega = grid.counts.shape
+    _write_output(args, {
+        "omega_over_omega0": np.tile(grid.omega_axis, n_amp),
+        "A_over_omega0": np.repeat(grid.A_axis, n_omega),
+        "count": grid.counts.ravel(),
     }, [])
     return 0
 
 
-def _cmd_validate(cfg: dict, parser) -> int:
+def _cmd_open(args: argparse.Namespace) -> int:
+    omega = args.omega
+    p = DriveParams(omega0=1.0, A=args.amp, omega=omega)
+    d = DecayRates(Gamma_10=args.gamma10 * omega, gamma_11=args.gamma11 * omega,
+                   Gamma_01=args.gamma01 * omega, gamma_00=args.gamma00 * omega)
+    t = _time_grid(p.period, args.periods, args.samples)
+    lab = evolve_lab_lindblad(p, d, DensityMatrix.from_pure(PureState.ground()), t)
+    warnings: list[str] = []
+    try:
+        red_col = list(evolve_gvv_lindblad(p, d, t, K=args.ksum).p1)
+    except MultiphotonResonanceError as exc:
+        red_col = [None] * len(t)
+        warnings.append(f"gvv unavailable: {exc}")
+    _write_output(args, {
+        "t": list(t),
+        "p1_lab_lindblad": list(lab.p1),
+        "p1_gvv_lindblad": red_col,
+    }, warnings)
+    return 0
+
+
+def _cmd_validate(args: argparse.Namespace) -> int:
     results = run_all()
     n_pass = sum(r.passed for r in results)
     print(f"{n_pass}/{len(results)} checks passed")
@@ -281,68 +215,112 @@ def output_schema() -> dict:
     return json.loads(text)
 
 
+def _config_option() -> argparse.ArgumentParser:
+    """The --config option: every subcommand inherits it, and main reads it first."""
+    opt = argparse.ArgumentParser(prog="rabifloquet", add_help=False)
+    opt.add_argument("--config", help="JSON object of flag values keyed by option name "
+                                      "(amp_range for --amp-range); command-line flags win")
+    return opt
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The one declaration of every option: name, type, default and required."""
+    config = [_config_option()]
     parser = argparse.ArgumentParser(
         prog="rabifloquet",
         description="Floquet dynamics of the driven two-level system",
+        parents=config,
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(sp):
-        sp.add_argument("--config", help="JSON config file; flags override its values")
+    def subcommand(name, func, help):
+        sp = sub.add_parser(name, parents=config, help=help)
+        sp.set_defaults(func=func)
         sp.add_argument("--out", help="output file (default: standard output)")
-        sp.add_argument("--format", choices=("csv", "json"))
+        sp.add_argument("--format", choices=("csv", "json"), default="csv",
+                        help="output format (default %(default)s)")
+        return sp
 
-    sp = sub.add_parser("dynamics", help="P1(t) traces from three closed-model routes")
-    common(sp)
-    sp.add_argument("--omega", type=float, help="drive frequency omega/omega0")
-    sp.add_argument("--amp", type=float, help="drive amplitude A/omega0")
-    sp.add_argument("--periods", type=float, help="time span in drive periods")
-    sp.add_argument("--samples", type=int, help="number of time samples (default 800)")
-    sp.add_argument("--truncation", type=int, help="Floquet truncation N (default 30)")
-    sp.set_defaults(func=_cmd_dynamics)
+    sp = subcommand("dynamics", _cmd_dynamics, "P1(t) traces from three closed-model routes")
+    sp.add_argument("--omega", type=float, required=True, help="drive frequency omega/omega0")
+    sp.add_argument("--amp", type=float, required=True, help="drive amplitude A/omega0")
+    sp.add_argument("--periods", type=float, required=True, help="time span in drive periods")
+    sp.add_argument("--samples", type=int, default=800,
+                    help="number of time samples (default %(default)s)")
+    sp.add_argument("--truncation", type=int, default=DEFAULT_TRUNCATION,
+                    help="Floquet truncation N (default %(default)s)")
 
-    sp = sub.add_parser("spectrum", help="frequency combs versus drive amplitude")
-    common(sp)
-    sp.add_argument("--omega", type=float, help="drive frequency omega/omega0")
-    sp.add_argument("--amp-range", dest="amp_range", type=_parse_range, help="lo:hi:step")
-    sp.add_argument("--truncation", type=int, help="Floquet truncation N (default 30)")
+    sp = subcommand("spectrum", _cmd_spectrum, "frequency combs versus drive amplitude")
+    sp.add_argument("--omega", type=float, required=True, help="drive frequency omega/omega0")
+    sp.add_argument("--amp-range", type=_parse_range, required=True, help="lo:hi:step")
+    sp.add_argument("--truncation", type=int, default=DEFAULT_TRUNCATION,
+                    help="Floquet truncation N (default %(default)s)")
     sp.add_argument("--ksum", type=int, help="perturbative sum cutoff (default auto)")
-    sp.add_argument("--nmax", type=int, help="number of comb replicas (default 4)")
-    sp.set_defaults(func=_cmd_spectrum)
+    sp.add_argument("--nmax", type=int, default=4,
+                    help="number of comb replicas (default %(default)s)")
 
-    sp = sub.add_parser("chrw-map", help="xi solution-count grid")
-    common(sp)
-    sp.add_argument("--omega-range", dest="omega_range", type=_parse_range, help="lo:hi:step")
-    sp.add_argument("--amp-range", dest="amp_range", type=_parse_range, help="lo:hi:step")
-    sp.set_defaults(func=_cmd_chrw_map)
+    sp = subcommand("chrw-map", _cmd_chrw_map, "xi solution-count grid")
+    sp.add_argument("--omega-range", type=_parse_range, required=True, help="lo:hi:step")
+    sp.add_argument("--amp-range", type=_parse_range, required=True, help="lo:hi:step")
 
-    sp = sub.add_parser("open", help="dissipative dynamics, both routes")
-    common(sp)
-    sp.add_argument("--omega", type=float, help="drive frequency omega/omega0")
-    sp.add_argument("--amp", type=float, help="drive amplitude A/omega0")
-    sp.add_argument("--gamma10", type=float, help="decay rate Gamma_10/omega")
-    sp.add_argument("--gamma11", type=float, help="dephasing rate gamma_11/omega")
-    sp.add_argument("--gamma01", type=float, help="excitation rate Gamma_01/omega (default 0)")
-    sp.add_argument("--gamma00", type=float, help="dephasing rate gamma_00/omega (default 0)")
-    sp.add_argument("--periods", type=float, help="time span in drive periods")
-    sp.add_argument("--samples", type=int, help="number of time samples (default 481)")
+    sp = subcommand("open", _cmd_open, "dissipative dynamics, both routes")
+    sp.add_argument("--omega", type=float, required=True, help="drive frequency omega/omega0")
+    sp.add_argument("--amp", type=float, required=True, help="drive amplitude A/omega0")
+    sp.add_argument("--gamma10", type=float, required=True, help="decay rate Gamma_10/omega")
+    sp.add_argument("--gamma11", type=float, required=True, help="dephasing rate gamma_11/omega")
+    sp.add_argument("--gamma01", type=float, default=0.0,
+                    help="excitation rate Gamma_01/omega (default %(default)s)")
+    sp.add_argument("--gamma00", type=float, default=0.0,
+                    help="dephasing rate gamma_00/omega (default %(default)s)")
+    sp.add_argument("--periods", type=float, required=True, help="time span in drive periods")
+    sp.add_argument("--samples", type=int, default=481,
+                    help="number of time samples (default %(default)s)")
     sp.add_argument("--ksum", type=int, help="perturbative sum cutoff (default auto)")
-    sp.set_defaults(func=_cmd_open)
 
-    sp = sub.add_parser("validate", help="run the built-in validation suite")
-    sp.set_defaults(func=_cmd_validate, config=None)
+    sub.add_parser("validate", help="run the built-in validation suite").set_defaults(
+        func=_cmd_validate)
     return parser
+
+
+def _splice_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
+    """argv with a --config file's values as flags right after the subcommand.
+
+    Each key becomes ``--key=value`` (a list [lo, hi, step] becomes
+    lo:hi:step; null leaves the option unset), so the subcommand's parser
+    gives file values the flags' own type, range and required checks,
+    and a flag on the command line, parsed later, wins.
+    """
+    known, argv = _config_option().parse_known_args(argv)
+    if known.config is None:
+        return argv
+    try:
+        with open(known.config, encoding="utf-8") as fh:
+            cfg = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        parser.error(f"cannot read config {known.config}: {exc}")
+    if not isinstance(cfg, dict):
+        parser.error("config file must hold a JSON object")
+    at = next((i for i, tok in enumerate(argv) if not tok.startswith("-")), None)
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    if at is None or argv[at] not in sub.choices:
+        return argv  # argparse reports the missing or unknown subcommand
+    sp = sub.choices[argv[at]]
+    flags = {a.dest: a.option_strings[0] for a in sp._actions
+             if a.option_strings and a.dest not in ("help", "config")}
+    unknown = set(cfg) - set(flags)
+    if unknown:
+        sp.error(f"unknown config keys: {sorted(unknown)}")
+    tokens = [f"{flags[k]}={':'.join(map(str, v)) if isinstance(v, list) else v}"
+              for k, v in cfg.items() if v is not None]
+    return argv[:at + 1] + tokens + argv[at + 1:]
 
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
-    cfg = _merge_config(args, parser)
-    cfg["subcommand"] = args.subcommand
+    args = parser.parse_args(_splice_config(parser, sys.argv[1:] if argv is None else argv))
     try:
-        return args.func(cfg, parser)
+        return args.func(args)
     except RabiFloquetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -253,6 +253,8 @@ def make_comb(base: float, omega: float, n_max: int) -> FrequencyComb:
     """Comb {2 n omega} plus {|+-base + 2 n omega|} for n = 0..n_max."""
     if base < 0:
         raise DomainError("base frequency must be nonnegative")
+    if n_max < 0:
+        raise DomainError("comb order n_max must be nonnegative")
     lines: list[tuple[float, str]] = []
     for n in range(n_max + 1):
         lines.append((2.0 * n * omega, f"2nw[n={n}]"))

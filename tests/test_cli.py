@@ -1,13 +1,16 @@
+import importlib
 import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
 
 from rabifloquet import validation
 from rabifloquet.cli import main, output_schema
+from rabifloquet.floquet import DEFAULT_TRUNCATION
 
 
 def run_cli(args, tmp_path=None):
@@ -167,6 +170,20 @@ class TestOtherSubcommands:
         assert lines[0] == "t,p1_lab_lindblad,p1_gvv_lindblad"
         assert len(lines) == 16
 
+    def test_open_degrades_at_multiphoton_resonance(self, capsys):
+        # at A = 0, omega = 1/3 the reduction has no second order; the lab
+        # route is still valid, so only the reduced column is left empty
+        rc = main(["open", "--omega", "0.3333333333333333", "--amp", "0", "--gamma10", "0.5",
+                   "--gamma11", "0.1", "--periods", "0.5", "--samples", "9"])
+        assert rc == 0
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()
+        assert lines[0] == "t,p1_lab_lindblad,p1_gvv_lindblad"
+        rows = [line.split(",") for line in lines[1:]]
+        assert len(rows) == 9
+        assert all(math.isfinite(float(row[1])) and row[2] == "" for row in rows)
+        assert captured.err.startswith("warning: gvv unavailable: multiphoton resonance")
+
 
 class TestValidate:
     def test_prints_each_line_with_wall_time_then_summary(self, monkeypatch, capsys):
@@ -199,3 +216,97 @@ class TestExitCodes:
         proc = run_cli(["dynamics", "--omega", "-0.6", "--amp", "1", "--periods", "1"])
         assert proc.returncode == 1
         assert "error:" in proc.stderr
+
+    def test_negative_comb_order_is_exit_one(self, capsys):
+        assert main(["spectrum", "--omega", "0.6", "--amp-range", "1:2:1", "--nmax", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: comb order n_max must be nonnegative")
+
+
+def _write_config(tmp_path, cfg, name="cfg.json"):
+    path = tmp_path / name
+    path.write_text(json.dumps(cfg))
+    return str(path)
+
+
+class TestConfigFile:
+    # the same run given once by flags alone and once by a config file
+    # alone; the file ranges are lists and strings, the flag ranges strings
+    RUNS = {
+        "dynamics": (["--omega", "0.6", "--amp", "2", "--periods", "0.5", "--samples", "7"],
+                     {"omega": 0.6, "amp": 2, "periods": 0.5, "samples": 7}),
+        "spectrum": (["--omega", "0.6", "--amp-range", "1:2:0.5", "--nmax", "1"],
+                     {"omega": 0.6, "amp_range": [1, 2, 0.5], "nmax": 1}),
+        "chrw-map": (["--omega-range", "0.5:1.5:0.5", "--amp-range", "0:2:1"],
+                     {"omega_range": [0.5, 1.5, 0.5], "amp_range": "0:2:1"}),
+        "open": (["--omega", "1", "--amp", "2", "--gamma10", "0.5", "--gamma11", "0.1",
+                  "--periods", "0.1", "--samples", "5"],
+                 {"omega": 1, "amp": 2, "gamma10": 0.5, "gamma11": 0.1,
+                  "periods": 0.1, "samples": 5}),
+    }
+
+    @pytest.mark.parametrize("subcommand", sorted(RUNS))
+    def test_file_alone_supplies_required_flags(self, tmp_path, subcommand):
+        flags, cfg = self.RUNS[subcommand]
+        by_flags, by_file = tmp_path / "flags.out", tmp_path / "file.out"
+        assert main([subcommand, *flags, "--out", str(by_flags)]) == 0
+        assert main([subcommand, "--config", _write_config(tmp_path, cfg),
+                     "--out", str(by_file)]) == 0
+        assert by_file.read_bytes() == by_flags.read_bytes()
+
+    @pytest.mark.parametrize("subcommand, cfg, message", [
+        ("dynamics", {"omega": 1, "amp": 1, "periods": 1, "samples": "x"},
+         "argument --samples: invalid int value: 'x'"),
+        ("spectrum", {"omega": 0.6, "amp_range": [0, 1]},
+         "argument --amp-range: expected lo:hi:step, got '0:1'"),
+        ("chrw-map", {"omega_range": "bad", "amp_range": "0:1:1"},
+         "argument --omega-range: expected lo:hi:step, got 'bad'"),
+        ("spectrum", {"omega": 0.6, "amp_range": [0, 1, 0]},
+         "argument --amp-range: need finite hi >= lo and step > 0"),
+        ("chrw-map", {"omega_range": "1:1:1", "amp_range": [0, float("inf"), 1]},
+         "argument --amp-range: need finite hi >= lo and step > 0"),
+        ("open", {"omega": 1, "amp": 1, "gamma10": 0.5},
+         "the following arguments are required: --gamma11, --periods"),
+        ("dynamics", {"omega": 1, "amp": 1, "periods": 1, "config": "other.json"},
+         "unknown config keys: ['config']"),
+    ])
+    def test_bad_file_value_is_usage_error_naming_the_flag(self, tmp_path, capsys,
+                                                          subcommand, cfg, message):
+        with pytest.raises(SystemExit) as exc:
+            main([subcommand, "--config", _write_config(tmp_path, cfg)])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1].endswith(message)
+
+    def test_null_means_unset(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cfg = {"omega": 0.6, "amp": 2, "periods": 0.5, "samples": 4, "out": None,
+               "truncation": None}
+        assert main(["dynamics", "--config", _write_config(tmp_path, cfg)]) == 0
+        assert capsys.readouterr().out.startswith("t,p1_numeric,p1_chrw,p1_floquet\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+    def test_meta_config_echoes_defaults(self, tmp_path):
+        out = tmp_path / "o.json"
+        cfg = {"omega": 0.6, "amp": 2, "periods": 0.5, "format": "json"}
+        assert main(["dynamics", "--config", _write_config(tmp_path, cfg),
+                     "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["meta"]["config"] == {
+            "subcommand": "dynamics", "omega": 0.6, "amp": 2.0, "periods": 0.5,
+            "samples": 800, "truncation": DEFAULT_TRUNCATION,
+        }
+
+    def test_console_script_reads_sys_argv(self, tmp_path, monkeypatch):
+        # the [project.scripts] entry point calls main() with no argv
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        target = tomllib.loads(pyproject.read_text())["project"]["scripts"]["rabifloquet"]
+        module, _, name = target.partition(":")
+        script = getattr(importlib.import_module(module), name)
+        flags, cfg = self.RUNS["dynamics"]
+        by_flags, by_script = tmp_path / "flags.csv", tmp_path / "script.csv"
+        assert main(["dynamics", *flags, "--out", str(by_flags)]) == 0
+        monkeypatch.setattr(sys, "argv", ["rabifloquet", "--config", _write_config(tmp_path, cfg),
+                                          "dynamics", "--out", str(by_script)])
+        assert script() == 0
+        assert by_script.read_bytes() == by_flags.read_bytes()

@@ -238,6 +238,11 @@ class TestCombs:
         comb = make_comb(0.0, 0.8, 3)
         assert sorted(comb.frequencies) == pytest.approx([0.0, 1.6, 3.2, 4.8])
 
+    @pytest.mark.parametrize("base, n_max", [(-0.1, 2), (0.3, -1)])
+    def test_rejects_negative_base_or_order(self, base, n_max):
+        with pytest.raises(DomainError):
+            make_comb(base, 1.0, n_max)
+
     def test_labels_unique(self):
         comb = make_comb(0.25, 1.0, 4)
         labels = [label for _, label in comb.lines]
