@@ -23,6 +23,7 @@ defaults included.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -73,6 +74,24 @@ def _parse_range(text: str) -> tuple[float, float, float]:
     if not (step > 0 and hi >= lo and math.isfinite(hi - lo + step)):
         raise argparse.ArgumentTypeError("need finite hi >= lo and step > 0")
     return lo, hi, step
+
+
+def _checked(kind, ok, need: str):
+    """An argparse type: ``kind(text)`` where ``ok`` holds it, else a usage error."""
+    def parse(text: str):
+        try:
+            x = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid {kind.__name__} value: {text!r}") from None
+        if not ok(x):
+            raise argparse.ArgumentTypeError(f"need {need}, got {text!r}")
+        return x
+    return parse
+
+
+_finite = _checked(float, math.isfinite, "a finite number")
+_positive = _checked(float, lambda x: math.isfinite(x) and x > 0, "a finite number > 0")
+_count = _checked(int, lambda n: n >= 2, "an integer >= 2")
 
 
 def _range_axis(rng: tuple[float, float, float]) -> np.ndarray:
@@ -243,16 +262,16 @@ def build_parser() -> argparse.ArgumentParser:
         return sp
 
     sp = subcommand("dynamics", _cmd_dynamics, "P1(t) traces from three closed-model routes")
-    sp.add_argument("--omega", type=float, required=True, help="drive frequency omega/omega0")
-    sp.add_argument("--amp", type=float, required=True, help="drive amplitude A/omega0")
-    sp.add_argument("--periods", type=float, required=True, help="time span in drive periods")
-    sp.add_argument("--samples", type=int, default=800,
+    sp.add_argument("--omega", type=_finite, required=True, help="drive frequency omega/omega0")
+    sp.add_argument("--amp", type=_finite, required=True, help="drive amplitude A/omega0")
+    sp.add_argument("--periods", type=_positive, required=True, help="time span in drive periods")
+    sp.add_argument("--samples", type=_count, default=800,
                     help="number of time samples (default %(default)s)")
     sp.add_argument("--truncation", type=int, default=DEFAULT_TRUNCATION,
                     help="Floquet truncation N (default %(default)s)")
 
     sp = subcommand("spectrum", _cmd_spectrum, "frequency combs versus drive amplitude")
-    sp.add_argument("--omega", type=float, required=True, help="drive frequency omega/omega0")
+    sp.add_argument("--omega", type=_finite, required=True, help="drive frequency omega/omega0")
     sp.add_argument("--amp-range", type=_parse_range, required=True, help="lo:hi:step")
     sp.add_argument("--truncation", type=int, default=DEFAULT_TRUNCATION,
                     help="Floquet truncation N (default %(default)s)")
@@ -265,16 +284,16 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--amp-range", type=_parse_range, required=True, help="lo:hi:step")
 
     sp = subcommand("open", _cmd_open, "dissipative dynamics, both routes")
-    sp.add_argument("--omega", type=float, required=True, help="drive frequency omega/omega0")
-    sp.add_argument("--amp", type=float, required=True, help="drive amplitude A/omega0")
-    sp.add_argument("--gamma10", type=float, required=True, help="decay rate Gamma_10/omega")
-    sp.add_argument("--gamma11", type=float, required=True, help="dephasing rate gamma_11/omega")
-    sp.add_argument("--gamma01", type=float, default=0.0,
+    sp.add_argument("--omega", type=_finite, required=True, help="drive frequency omega/omega0")
+    sp.add_argument("--amp", type=_finite, required=True, help="drive amplitude A/omega0")
+    sp.add_argument("--gamma10", type=_finite, required=True, help="decay rate Gamma_10/omega")
+    sp.add_argument("--gamma11", type=_finite, required=True, help="dephasing rate gamma_11/omega")
+    sp.add_argument("--gamma01", type=_finite, default=0.0,
                     help="excitation rate Gamma_01/omega (default %(default)s)")
-    sp.add_argument("--gamma00", type=float, default=0.0,
+    sp.add_argument("--gamma00", type=_finite, default=0.0,
                     help="dephasing rate gamma_00/omega (default %(default)s)")
-    sp.add_argument("--periods", type=float, required=True, help="time span in drive periods")
-    sp.add_argument("--samples", type=int, default=481,
+    sp.add_argument("--periods", type=_positive, required=True, help="time span in drive periods")
+    sp.add_argument("--samples", type=_count, default=481,
                     help="number of time samples (default %(default)s)")
     sp.add_argument("--ksum", type=int, help="perturbative sum cutoff (default auto)")
 
@@ -316,8 +335,14 @@ def _splice_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str
     return argv[:at + 1] + tokens + argv[at + 1:]
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # parsing leaves a parser as it was, so one per process serves every call
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(_splice_config(parser, sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)

@@ -279,10 +279,10 @@ def eig_hermitian(matrix) -> EigenDecomposition:
 # ODE integration: classical RK4 with Richardson step-halving
 # ---------------------------------------------------------------------------
 
-# Steps whose RK4 matrices are formed and multiplied in one batch.  It
+# Most steps whose RK4 matrices are formed and multiplied in one batch.  It
 # bounds the working set of evolve_linear at a few arrays of
-# (3 * _CHUNK_STEPS, 2d, 2d) reals whatever the grid, about 1 MB for d = 4;
-# larger chunks gain little speed and raise the process's peak memory.
+# (2 * _CHUNK_STEPS + 1, 2d, 2d) reals whatever the grid, about 1 MB for
+# d = 4; larger chunks gain little speed and raise the process's peak memory.
 _CHUNK_STEPS = 256
 
 
@@ -298,6 +298,9 @@ def _richardson(run_pass, y0, t_grid, rel_tol: float, max_step, max_halvings: in
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or len(t_grid) < 2 or np.any(np.diff(t_grid) <= 0):
         raise DomainError("t_grid must be an ascending 1-d grid")
+    if not np.all(np.isfinite(t_grid)):
+        # nan compares false above; it would size a pass by ceil(nan) steps
+        raise DomainError("t_grid must be finite")
     y0 = np.atleast_1d(np.asarray(y0, dtype=complex))
 
     dt = np.diff(t_grid)
@@ -359,66 +362,112 @@ def evolve_ode(
                        rel_tol, max_step, max_halvings)
 
 
-def _real_form(g: np.ndarray) -> np.ndarray:
-    """Complex (..., d, d) matrices as real (..., 2d, 2d) [[Re, -Im], [Im, Re]].
+def _real_form(g: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Complex (..., d, d) matrices as real (..., 2d, 2d) [[Re, -Im], [Im, Re]], into ``out``.
 
     The form acts on [Re y, Im y] and multiplies like the complex
     matrices; numpy's batched products of tiny real matrices run several
     times faster than of complex ones.
     """
     d = g.shape[-1]
-    out = np.empty(g.shape[:-2] + (2 * d, 2 * d))
     out[..., :d, :d] = out[..., d:, d:] = g.real
-    out[..., :d, d:] = -g.imag
+    np.negative(g.imag, out=out[..., :d, d:])
     out[..., d:, :d] = g.imag
     return out
 
 
-def _rk4_step_matrices(generator, t: np.ndarray, h: np.ndarray) -> np.ndarray:
+def _rk4_step_matrices(g: np.ndarray, h: np.ndarray) -> np.ndarray:
     """RK4 step maps R_j with y(t_j + h_j) = R_j y(t_j) for y' = G(t) y.
 
-    The four classical stages applied to the identity instead of a
-    vector; G is evaluated at every step's start, midpoint and end in
-    one call.  The maps are returned in the real form of ``_real_form``.
+    ``g`` holds G in the real form of ``_real_form`` at the 2m + 1
+    half-step times of m consecutive steps: step j starts at g[2j], has
+    its midpoint at g[2j + 1] and ends at g[2j + 2].  The four classical
+    stages are applied to the identity instead of a vector.
     """
-    m = len(t)
-    g = _real_form(generator(np.concatenate([t, t + 0.5 * h, t + h])))
-    eye = np.eye(g.shape[-1])
     hh = h[:, None, None]
-    # K1 = G(t), K_{j+1} = G(t + c h)(I + c h K_j); R = I + h/6 (K1 + 2K2 + 2K3 + K4)
-    k = g[:m]
-    total = k.copy()
-    for g_stage, c, weight in ((g[m:2 * m], 0.5, 2.0), (g[m:2 * m], 0.5, 2.0), (g[2 * m:], 1.0, 1.0)):
-        k = g_stage @ (eye + c * hh * k)
-        total += weight * k
-    total *= hh / 6.0
+    eye = np.eye(g.shape[-1])
+    # with A = h G: K1 = A(t), K2 = A(t + h/2)(I + K1/2), K3 = A(t + h/2)(I + K2/2),
+    # K4 = A(t + h)(I + K3), and R = I + (K1 + 2 K2 + 2 K3 + K4) / 6.  The
+    # stages are updated in place and reuse freed buffers: each fresh array
+    # of this size costs the process page faults.
+    k1 = g[:-1:2] * hh
+    a_mid = g[1::2] * hh
+    x = k1 * 0.5
+    x += eye
+    total = a_mid @ x                    # K2
+    np.multiply(total, 0.5, out=x)
+    x += eye
+    k3 = a_mid @ x
+    total += k3
+    total *= 2.0
+    total += k1
+    k3 += eye
+    k4 = np.matmul(g[2::2], k3, out=x)
+    k4 *= hh
+    total += k4
+    total *= 1.0 / 6.0
     total += eye
     return total
 
 
+def _ordered_product(r: np.ndarray) -> np.ndarray:
+    """r[:, -1] @ ... @ r[:, 0] for a batch of map sequences, in pairwise rounds."""
+    while r.shape[1] > 1:
+        pairs = r[:, 1::2] @ r[:, :-1:2]
+        if r.shape[1] % 2:
+            pairs[:, -1] = r[:, -1] @ pairs[:, -1]
+        r = pairs
+    return r[:, 0]
+
+
 def _linear_pass(generator, y0: np.ndarray, t_grid: np.ndarray, substeps: np.ndarray) -> np.ndarray:
     # Steps are numbered across the whole grid; interval i owns steps
-    # first[i] .. first[i + 1] - 1, and the state after its last step is
-    # sample i + 1.  Each chunk of steps is turned into the inclusive
-    # prefix products prefix[j] = R_j ... R_0 in log depth, which carry
+    # first[i] .. first[i + 1] - 1 and is cut into pieces of at most
+    # _CHUNK_STEPS steps: piece k is steps bounds[k] .. bounds[k + 1] - 1
+    # of interval owner[k].  A chunk is a run of whole pieces with at most
+    # _CHUNK_STEPS steps in all.  G is evaluated once per half-step time:
+    # at t_grid[0], then per chunk at all its times but the first, which
+    # the previous chunk ended on.  Each piece's step maps are multiplied
+    # pairwise into one map (pieces of one step count in one batch), and
+    # the inclusive prefix products of the piece maps, in log depth, carry
     # the chunk's first state to every sample inside it.
     first = np.concatenate([[0], np.cumsum(substeps)])
-    total = int(first[-1])
-    dt = np.diff(t_grid)
-    out = np.empty((len(t_grid), 2 * len(y0)))
+    half = np.append(np.diff(t_grid) / (2 * substeps), 0.0)  # 0 past the last interval
+    pieces = -(-substeps // _CHUNK_STEPS)
+    owner = np.repeat(np.arange(len(substeps)), pieces)
+    rank = np.arange(len(owner)) - np.repeat(np.cumsum(pieces) - pieces, pieces)
+    bounds = np.append(first[owner] + rank * _CHUNK_STEPS, first[-1])
+    last = np.append(owner[1:] != owner[:-1], True)  # the piece ends its interval
+    n = 2 * len(y0)
+    out = np.empty((len(t_grid), n))
     out[0] = y = np.concatenate([y0.real, y0.imag])
-    for lo in range(0, total, _CHUNK_STEPS):
-        step = np.arange(lo, min(lo + _CHUNK_STEPS, total))
+    g_end = _real_form(generator(t_grid[:1]), np.empty((1, n, n)))[0]
+    a = 0
+    while a < len(owner):
+        b = int(np.searchsorted(bounds, bounds[a] + _CHUNK_STEPS, side="right")) - 1
+        step = np.arange(bounds[a], bounds[b] + 1)
         i = np.searchsorted(first, step, side="right") - 1
-        h = dt[i] / substeps[i]
-        prefix = _rk4_step_matrices(generator, t_grid[i] + (step - first[i]) * h, h)
+        k = 2 * (step - first[i])
+        times = np.empty(2 * len(step) - 1)
+        times[::2] = t_grid[i] + k * half[i]
+        times[1::2] = (t_grid[i] + (k + 1) * half[i])[:-1]
+        g = np.empty((len(times), n, n))
+        g[0] = g_end
+        g_end = _real_form(generator(times[1:]), g[1:])[-1]
+        r = _rk4_step_matrices(g, 2.0 * half[i[:-1]])
+        start, count = bounds[a:b] - bounds[a], np.diff(bounds[a:b + 1])
+        prefix = np.empty((b - a, n, n))
+        for s in set(count.tolist()):  # np.unique would import numpy.ma, 30 ms
+            sel = np.flatnonzero(count == s)
+            prefix[sel] = _ordered_product(r[start[sel, None] + np.arange(s)])
         shift = 1
-        while shift < len(step):
+        while shift < len(prefix):
             prefix[shift:] = prefix[shift:] @ prefix[:-shift]
             shift *= 2
-        done = np.flatnonzero((first[1:] > lo) & (first[1:] <= step[-1] + 1))
-        out[done + 1] = prefix[first[done + 1] - 1 - lo] @ y
+        done = last[a:b]
+        out[owner[a:b][done] + 1] = prefix[done] @ y
         y = prefix[-1] @ y
+        a = b
     return out[:, :len(y0)] + 1j * out[:, len(y0):]
 
 
@@ -434,10 +483,12 @@ def evolve_linear(
 
     ``generator(times)`` returns G at an array of m times as an (m, d, d)
     batch.  The integrator is the one of :func:`evolve_ode` -- classical
-    RK4 with the same substeps and Richardson step-halving -- but each
-    step is formed as a d x d matrix in batches and the steps between
-    samples are combined by batched matrix products, so no Python code
-    runs per step.
+    RK4 with the same substeps and Richardson step-halving -- but G is
+    evaluated once per half-step time of a pass (2m + 1 times for m
+    steps), each step is formed as a d x d matrix in batches, the steps
+    of each grid interval are multiplied pairwise into one map, and the
+    interval maps are chained by prefix products, so no Python code runs
+    per step.
     """
     return _richardson(functools.partial(_linear_pass, generator), y0, t_grid,
                        rel_tol, max_step, max_halvings)

@@ -106,10 +106,21 @@ def _dissipator(op: np.ndarray) -> np.ndarray:
     return 2.0 * _kron(op, op.conj()) - _kron(odo, IDENTITY) - _kron(IDENTITY, np.swapaxes(odo, -1, -2))
 
 
+def _conjugated(c: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Superoperator of rho -> V+ c(V rho V+) V, as S+ c S with S = V x V* (rho -> V rho V+)."""
+    s = _kron(v, v.conj())
+    return np.swapaxes(s.conj(), -1, -2) @ c @ s
+
+
 def _channels(d: DecayRates, v: np.ndarray) -> np.ndarray:
-    """Sum of rate * D[V+ |a><b| V] over the lab channels with a nonzero rate."""
-    return sum((rate * _dissipator(_rotated(v, a, b)) for rate, a, b in _lab_channels(d) if rate),
-               np.zeros((4, 4), complex))
+    """Sum of rate * D[V+ |a><b| V] over the lab channels with a nonzero rate.
+
+    D[V+ L V] rho = V+ D[L](V rho V+) V, so the rotated sum is the lab
+    sum conjugated once by V.
+    """
+    lab = sum((rate * _dissipator(_rotated(IDENTITY, a, b))
+               for rate, a, b in _lab_channels(d) if rate), np.zeros((4, 4), complex))
+    return _conjugated(lab, v)
 
 
 def _check_physical(rhos: np.ndarray, t: np.ndarray) -> None:
@@ -191,8 +202,10 @@ def evolve_gvv_lindblad(
         v[..., 1] *= np.exp(1j * np.fmod(eff.n * p.omega * times, TWO_PI))[..., None]
         return v
 
+    channels = _channels(d, IDENTITY)
+
     def generator(times: np.ndarray) -> np.ndarray:
-        return np.broadcast_to(hamiltonian, (len(times), 4, 4)) + _channels(d, frame(times))
+        return hamiltonian + _conjugated(channels, frame(times))
 
     rho0 = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
     states = evolve_linear(generator, rho0.reshape(-1), t, rel_tol=rel_tol,

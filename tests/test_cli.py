@@ -8,7 +8,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from rabifloquet import validation
+from rabifloquet import cli, validation
 from rabifloquet.cli import main, output_schema
 from rabifloquet.floquet import DEFAULT_TRUNCATION
 
@@ -224,10 +224,44 @@ class TestExitCodes:
         assert captured.err.startswith("error: comb order n_max must be nonnegative")
 
 
+    @pytest.mark.parametrize("subcommand, flag, value, message", [
+        ("dynamics", "--samples", "-1", "need an integer >= 2, got '-1'"),
+        ("dynamics", "--samples", "0", "need an integer >= 2, got '0'"),
+        ("open", "--samples", "1", "need an integer >= 2, got '1'"),
+        ("dynamics", "--periods", "-2", "need a finite number > 0, got '-2'"),
+        ("open", "--periods", "0", "need a finite number > 0, got '0'"),
+        ("dynamics", "--periods", "nan", "need a finite number > 0, got 'nan'"),
+        ("dynamics", "--omega", "nan", "need a finite number, got 'nan'"),
+        ("spectrum", "--omega", "inf", "need a finite number, got 'inf'"),
+        ("open", "--amp", "-inf", "need a finite number, got '-inf'"),
+        ("open", "--gamma11", "nan", "need a finite number, got 'nan'"),
+        ("open", "--gamma00", "inf", "need a finite number, got 'inf'"),
+    ])
+    def test_bad_count_span_or_number_is_usage_error(self, capsys, subcommand, flag, value,
+                                                     message):
+        args = {"dynamics": ["--omega", "1", "--amp", "1", "--periods", "1"],
+                "spectrum": ["--omega", "1", "--amp-range", "1:1:1"],
+                "open": ["--omega", "1", "--amp", "1", "--gamma10", "0.5", "--gamma11", "0.1",
+                         "--periods", "1"]}[subcommand]
+        with pytest.raises(SystemExit) as exc:
+            main([subcommand, *args, f"{flag}={value}"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1].endswith(f"argument {flag}: {message}")
+
+
 def _write_config(tmp_path, cfg, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
     return str(path)
+
+
+def _counting(fn):
+    def counted(*args):
+        counted.calls += 1
+        return fn(*args)
+
+    counted.calls = 0
+    return counted
 
 
 class TestConfigFile:
@@ -295,6 +329,20 @@ class TestConfigFile:
             "subcommand": "dynamics", "omega": 0.6, "amp": 2.0, "periods": 0.5,
             "samples": 800, "truncation": DEFAULT_TRUNCATION,
         }
+
+    def test_parser_built_once_and_outputs_match_fresh_runs(self, tmp_path, monkeypatch):
+        # one process: a --config run, then a flag-only run of the same
+        # subcommand, each byte-identical to the same run in a new process
+        monkeypatch.setattr(cli, "build_parser", _counting(cli.build_parser))
+        cli._parser.cache_clear()
+        flags, cfg = self.RUNS["open"]
+        runs = (["open", "--config", _write_config(tmp_path, cfg)], ["open", *flags])
+        for k, argv in enumerate(runs):
+            here, fresh = tmp_path / f"here{k}.csv", tmp_path / f"fresh{k}.csv"
+            assert main([*argv, "--out", str(here)]) == 0
+            assert run_cli([*argv, "--out", str(fresh)]).returncode == 0
+            assert here.read_bytes() == fresh.read_bytes()
+        assert cli.build_parser.calls == 1
 
     def test_console_script_reads_sys_argv(self, tmp_path, monkeypatch):
         # the [project.scripts] entry point calls main() with no argv

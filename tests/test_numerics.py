@@ -13,7 +13,9 @@ from rabifloquet.errors import (
 )
 from rabifloquet.numerics import (
     _bessel_backward,
+    _linear_pass,
     _miller_start_order,
+    _rk4_pass,
     bessel_j,
     bessel_table,
     count_roots,
@@ -428,6 +430,15 @@ class TestEvolveOde:
             evolve_ode(rhs, np.array([1.0 + 0j]), np.array([0.0, 1.0]),
                        rel_tol=1e-12, max_step=0.1)
 
+    @pytest.mark.parametrize("evolve, fn", [
+        (evolve_linear, lambda ts: np.full((len(ts), 1, 1), -1.0 + 0j)),
+        (evolve_ode, lambda _, y: -y),
+    ])
+    @pytest.mark.parametrize("t", [[0.0, math.nan], [0.0, 1.0, math.inf], [math.nan, 1.0]])
+    def test_non_finite_grid_is_domain_error(self, evolve, fn, t):
+        with pytest.raises(DomainError, match="t_grid"):
+            evolve(fn, [1.0], t, max_step=0.1)
+
 
 def _driven_hamiltonian(t):
     # H(t) = 0.5 sigma_z + 0.8 cos(1.3 t) sigma_x at a scalar or array t
@@ -503,6 +514,43 @@ class TestEvolveLinear:
         ev, vec = np.linalg.eigh(h0)
         exact = [vec @ (np.exp(-1j * ev * ti) * vec[0].conj()) for ti in t]
         assert np.max(np.abs(states - np.array(exact))) <= 1e-10
+
+    @pytest.mark.parametrize("t, max_step, generator", [
+        (CASES[1][3], CASES[1][4], CASES[1][0]),
+        (np.array([0.0, 1.0, 13.0, 5.0 * 2.0 * math.pi]), 2.0 * math.pi / 400.0,
+         lambda ts: np.broadcast_to(-1j * np.array([[0.4, 0.2], [0.2, -0.4]]), (len(ts), 2, 2))),
+    ])
+    def test_one_generator_call_per_half_step_time(self, t, max_step, generator):
+        # the non-uniform case and the several-chunks case: each pass sees
+        # every half-step time t_i + k dt_i / (2 n_i) once, 2 * steps + 1 in all
+        passes = []
+
+        def counting(times):
+            if times[0] == t[0]:
+                passes.append([])
+            passes[-1].extend(times)
+            return generator(times)
+
+        evolve_linear(counting, [1.0, 0.0], t, rel_tol=1e-10, max_step=max_step)
+        dt = np.diff(t)
+        substeps = np.maximum(1, np.ceil(dt / max_step).astype(int))
+        assert len(passes) >= 2
+        for times in passes:
+            want = np.concatenate([t[i] + np.arange(2 * n) * dt[i] / (2 * n)
+                                   for i, n in enumerate(substeps)] + [t[-1:]])
+            assert len(times) == len(want) == len(set(times))
+            assert np.max(np.abs(np.sort(times) - want)) <= 1e-12 * t[-1]
+            substeps = 2 * substeps
+
+    def test_pass_matches_sequential_product_across_pieces(self):
+        # intervals of 1, 255, 256, 257 and 600 steps: pieces of several
+        # step counts in one chunk, and intervals cut into several pieces
+        substeps = np.array([1, 255, 256, 257, 600])
+        t = np.concatenate([[0.0], np.cumsum(0.004 * substeps * (1.0 + 0.1 * np.arange(5)))])
+        y0 = np.array([0.3, 0.1j, -0.2j, 0.7])
+        got = _linear_pass(_lindblad_generator, y0, t, substeps)
+        want = _rk4_pass(_lindblad_rhs, y0, t, substeps)
+        assert np.max(np.abs(got - want)) <= 1e-12
 
     @pytest.mark.parametrize("evolve, fn", [
         (evolve_linear, lambda ts: np.full((len(ts), 1, 1), -50.0 + 0j)),
