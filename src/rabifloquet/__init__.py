@@ -12,9 +12,11 @@ from .chrw import (
     SolutionCountMap,
     chrw_coefficients,
     chrw_solution,
+    chrw_solutions,
     p1_chrw,
     solution_count_map,
     solve_xi,
+    xi_roots,
 )
 from .errors import (
     AmbiguousSolutionError,
@@ -46,6 +48,7 @@ from .gvv import (
     build_floquet_matrix_dut,
     frame_unitary,
     gvv_effective,
+    gvv_effectives,
     gvv_shifts,
 )
 from .model import (
@@ -60,6 +63,7 @@ from .numerics import (
     EigenDecomposition,
     bessel_j,
     bessel_table,
+    bessel_tables,
     count_roots,
     dominant_peaks,
     eig_hermitian,

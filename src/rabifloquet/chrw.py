@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import AmbiguousSolutionError, DomainError, NoSolutionError
 from .model import DriveParams, TimeSeries
-from .numerics import bessel_j, bessel_table, count_roots, find_roots
+from .numerics import _refine, _scan, bessel_j, bessel_table, count_roots
 
 # Uniform scan resolution and root tolerance of the xi condition on [0, 1].
 SCAN_POINTS = 4000
@@ -69,17 +69,49 @@ class SolutionCountMap:
     counts: np.ndarray = field(repr=False)  # shape (len(A_axis), len(omega_axis))
 
 
+def _residual(omega0, A, omega, xi):
+    return 0.5 * A * (1.0 - xi) - omega0 * bessel_j(1, A * xi / omega)
+
+
 def _xi_residual(p: DriveParams):
     def f(xi):
-        return 0.5 * p.A * (1.0 - np.asarray(xi)) - p.omega0 * bessel_j(1, p.A * np.asarray(xi) / p.omega)
+        return _residual(p.omega0, p.A, p.omega, np.asarray(xi))
     return f
+
+
+def xi_roots(omega: float, amps, omega0: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+    """Every root of the xi condition on [0, 1] at each amplitude of a sweep.
+
+    Returns (owner, xi): root xi[i] belongs to amplitude amps[owner[i]],
+    ordered by owner and ascending within one.  Each driven amplitude is
+    scanned on its own, and then the sign-change cells of all of them are
+    refined together, so each refinement round is one Bessel recurrence
+    for the whole sweep.  A = 0 owns no root: the condition is degenerate
+    there.
+    """
+    params = [DriveParams(omega0, float(a), omega) for a in amps]
+    cells, zeros = [], []  # rows (owner, a, b, f(a), f(b)) and (owner, xi)
+    for i, p in enumerate(params):
+        if p.A > 0.0:
+            xs, ys, cell = _scan(_xi_residual(p), 0.0, 1.0, SCAN_POINTS)
+            cells.append(np.stack([np.full(len(cell), i), xs[cell], xs[cell + 1], ys[cell], ys[cell + 1]]))
+            at = xs[ys == 0.0]
+            zeros.append(np.stack([np.full(len(at), i), at]))
+    cell_owner, a, b, fa, fb = np.concatenate([np.empty((5, 0))] + cells, axis=1)
+    zero_owner, at = np.concatenate([np.empty((2, 0))] + zeros, axis=1)
+    amp = np.array([p.A for p in params])[cell_owner.astype(int)]
+    refined = _refine(lambda x, rows: _residual(omega0, amp[rows], omega, x), a, b, fa, fb, ROOT_TOL)
+    owner = np.concatenate([cell_owner, zero_owner]).astype(int)
+    xi = np.concatenate([refined, at])
+    order = np.lexsort((xi, owner))
+    return owner[order], xi[order]
 
 
 def solve_xi(p: DriveParams) -> tuple:
     """All roots of the xi self-consistency condition on [0, 1], ascending."""
     if p.A == 0.0:
         raise DomainError("xi condition is degenerate at A = 0 (no drive to renormalize)")
-    return find_roots(_xi_residual(p), 0.0, 1.0, scan_points=SCAN_POINTS, tol=ROOT_TOL)
+    return tuple(xi_roots(p.omega, [p.A], p.omega0)[1].tolist())
 
 
 def solution_count_map(omega_range, A_range) -> SolutionCountMap:
@@ -104,33 +136,53 @@ def solution_count_map(omega_range, A_range) -> SolutionCountMap:
     return SolutionCountMap(omega_axis=omega_axis, A_axis=A_axis, counts=counts)
 
 
-def chrw_solution(p: DriveParams) -> ChrwSolution:
-    """Renormalized drive, detuning, and effective Rabi frequency.
+def chrw_solutions(omega: float, amps, omega0: float = 1.0) -> list:
+    """Renormalized drive, detuning, and effective Rabi frequency across a sweep.
 
-    Requires a unique xi root; zero roots, or no drive at all (A = 0),
-    raise NoSolutionError (the method simply has no answer there) and
-    several roots raise AmbiguousSolutionError carrying all of them.
+    One entry per amplitude: a ChrwSolution where its xi root is unique,
+    otherwise the error that amplitude degrades to.  Zero roots, or no
+    drive at all (A = 0), give NoSolutionError (the method simply has no
+    answer there) and several roots give AmbiguousSolutionError carrying
+    all of them.  The roots come from one :func:`xi_roots` sweep and every
+    J_0(A xi / omega) from one Bessel call.
     """
-    if p.A == 0.0:
-        raise NoSolutionError("no drive (A = 0), the xi condition is degenerate")
-    roots = solve_xi(p)
-    if len(roots) == 0:
-        raise NoSolutionError(
-            f"no xi in [0, 1] satisfies the self-consistency condition at "
-            f"omega/omega0={p.omega / p.omega0:g}, A/omega0={p.A / p.omega0:g}"
-        )
-    if len(roots) > 1:
-        raise AmbiguousSolutionError(
-            f"{len(roots)} xi roots found; the single-weight ansatz is not applicable",
-            roots=roots,
-        )
-    xi = roots[0]
-    a_tilde = 2.0 * p.A * (1.0 - xi)
-    delta_tilde = bessel_j(0, p.A * xi / p.omega) * p.omega0 - p.omega
-    omega_tilde = math.sqrt(delta_tilde**2 + 0.25 * a_tilde**2)
-    return ChrwSolution(
-        params=p, xi=xi, A_tilde=a_tilde, Delta_tilde=delta_tilde, Omega_tilde=omega_tilde
-    )
+    amps = np.asarray(amps, dtype=float).ravel()
+    owner, roots = xi_roots(omega, amps, omega0)
+    count = np.bincount(owner, minlength=len(amps))
+    unique = np.flatnonzero(count == 1)
+    xi = np.zeros(len(amps))  # the unique roots; 0 elsewhere adds no Bessel work
+    xi[unique] = roots[np.searchsorted(owner, unique)]
+    j0 = bessel_j(0, amps * xi / omega)
+    params = [DriveParams(omega0, float(a), omega) for a in amps]
+    out = []
+    for i, p in enumerate(params):
+        if p.A == 0.0:
+            out.append(NoSolutionError("no drive (A = 0), the xi condition is degenerate"))
+        elif count[i] == 0:
+            out.append(NoSolutionError(
+                f"no xi in [0, 1] satisfies the self-consistency condition at "
+                f"omega/omega0={p.omega / p.omega0:g}, A/omega0={p.A / p.omega0:g}"
+            ))
+        elif count[i] > 1:
+            out.append(AmbiguousSolutionError(
+                f"{count[i]} xi roots found; the single-weight ansatz is not applicable",
+                roots=roots[owner == i].tolist(),
+            ))
+        else:
+            a_tilde = 2.0 * p.A * (1.0 - float(xi[i]))
+            delta_tilde = float(j0[i]) * p.omega0 - p.omega
+            omega_tilde = math.sqrt(delta_tilde**2 + 0.25 * a_tilde**2)
+            out.append(ChrwSolution(params=p, xi=float(xi[i]), A_tilde=a_tilde,
+                                    Delta_tilde=delta_tilde, Omega_tilde=omega_tilde))
+    return out
+
+
+def chrw_solution(p: DriveParams) -> ChrwSolution:
+    """The one-amplitude :func:`chrw_solutions`: its solution, or its error raised."""
+    (sol,) = chrw_solutions(p.omega, [p.A], p.omega0)
+    if isinstance(sol, Exception):
+        raise sol
+    return sol
 
 
 def default_n_max(sol: ChrwSolution, p: DriveParams) -> int:

@@ -32,7 +32,7 @@ from importlib import resources
 import numpy as np
 
 from . import __version__
-from .chrw import chrw_coefficients, chrw_solution, p1_chrw, solution_count_map
+from .chrw import chrw_coefficients, chrw_solution, chrw_solutions, p1_chrw, solution_count_map
 from .errors import (
     AmbiguousSolutionError,
     MultiphotonResonanceError,
@@ -40,7 +40,7 @@ from .errors import (
     RabiFloquetError,
 )
 from .floquet import DEFAULT_TRUNCATION, dynamic_base, make_comb, p1_direct, p1_floquet
-from .gvv import gvv_effective
+from .gvv import gvv_effectives
 from .model import DensityMatrix, DriveParams, PureState
 from .open_system import DecayRates, evolve_gvv_lindblad, evolve_lab_lindblad
 from .validation import run_all
@@ -170,21 +170,20 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
             cols["label"].append(label)
             cols["source"].append(source)
 
-    for amp in _range_axis(args.amp_range):
+    amps = _range_axis(args.amp_range)
+    effs, sols = gvv_effectives(omega, amps, args.ksum), chrw_solutions(omega, amps)
+    for amp, eff, sol in zip(amps, effs, sols):
         p = DriveParams(omega0=1.0, A=float(amp), omega=omega)
         emit(amp, make_comb(dynamic_base(p, args.truncation), omega, n_max), "numeric")
-        try:
-            eff = gvv_effective(p, args.ksum)
-        except MultiphotonResonanceError as exc:
-            warnings.append(f"A={amp:g}: gvv unavailable: {exc}")
+        if isinstance(eff, MultiphotonResonanceError):
+            warnings.append(f"A={amp:g}: gvv unavailable: {eff}")
         else:
             emit(amp, make_comb(eff.Omega, omega, n_max), "gvv")
             emit(amp, make_comb(eff.Omega_grwa, omega, n_max), "grwa")
-        try:
-            sol = chrw_solution(p)
+        if isinstance(sol, (NoSolutionError, AmbiguousSolutionError)):
+            warnings.append(f"A={amp:g}: analytic series unavailable: {sol}")
+        else:
             emit(amp, make_comb(sol.Omega_tilde, omega, n_max), "chrw")
-        except (NoSolutionError, AmbiguousSolutionError) as exc:
-            warnings.append(f"A={amp:g}: analytic series unavailable: {exc}")
     _write_output(args, cols, warnings)
     return 0
 

@@ -26,7 +26,7 @@ import numpy as np
 from .errors import DomainError, InternalConsistencyError, MultiphotonResonanceError
 from .floquet import DEFAULT_TRUNCATION, FloquetMatrix, floquet_matrix
 from .model import IDENTITY, SIGMA_X, SIGMA_Z, TWO_PI, DriveParams
-from .numerics import bessel_table, eig_hermitian
+from .numerics import bessel_table, bessel_tables, eig_hermitian
 
 _DENOMINATOR_FLOOR = 1e-9
 
@@ -58,12 +58,6 @@ def _partner_photon(p: DriveParams, table) -> int:
     return 1 if table[0] * p.omega0 >= 0.0 else -1
 
 
-def _shift_table(p: DriveParams, K: int):
-    if K < 1:
-        raise DomainError("K must be >= 1")
-    return bessel_table(p.A / p.omega, 2 * K + 1)
-
-
 def _check_denominators(p: DriveParams, j0: float, k: np.ndarray, n: int) -> None:
     # Odd-photon levels outside the pair: |0, 2k + n> couples to |1, 0> and
     # |1, 2k> to |0, n>, with detunings J0 omega0 - m omega for m = 2k + n
@@ -77,21 +71,6 @@ def _check_denominators(p: DriveParams, j0: float, k: np.ndarray, n: int) -> Non
                 f"{_DENOMINATOR_FLOOR}*omega0",
                 k=int(k[bad[0]]),
             )
-
-
-def gvv_shifts(p: DriveParams, K: int | None = None) -> tuple[float, float, float, float]:
-    """Second-order shifts (delta_1p, delta_0p, delta_10, delta_01).
-
-    Van Vleck shifts of the reduced pair |1, 0>, |0, n> (n = +1 if
-    J0 omega0 >= 0, else -1).  Sums run over the harmonic index k in
-    [-K, K] excluding 0 with Bessel argument A/omega.  A near-zero
-    denominator of a level outside the pair raises
-    MultiphotonResonanceError rather than silently diverging.
-    """
-    if K is None:
-        K = default_k_sum(p)
-    table = _shift_table(p, K)
-    return _shifts(p, K, _partner_photon(p, table), table)
 
 
 def _shifts(p: DriveParams, K: int, n: int, table) -> tuple[float, float, float, float]:
@@ -115,18 +94,8 @@ def _shifts(p: DriveParams, K: int, n: int, table) -> tuple[float, float, float,
     return delta_1p, delta_0p, delta_10, delta_01
 
 
-def gvv_effective(p: DriveParams, K: int | None = None) -> GvvEffective:
-    """Assemble the effective 2x2 matrix and both oscillation frequencies.
-
-    The matrix acts on (|1, 0>, |0, n>), n = +1 if J0 omega0 >= 0 else -1.
-    Omega is computed twice, from the closed form and from the eigenvalue
-    gap of the matrix; disagreement beyond 1e-10 omega0 raises, guarding
-    against transcription slips in the dense closed-form expression.
-    """
-    if K is None:
-        K = default_k_sum(p)
+def _effective(p: DriveParams, K: int, table) -> GvvEffective:
     w0, w = p.omega0, p.omega
-    table = _shift_table(p, K)
     j0, j1 = table[0], table[1]
     n = _partner_photon(p, table)
     d1, d0, d10, d01 = _shifts(p, K, n, table)
@@ -154,6 +123,55 @@ def gvv_effective(p: DriveParams, K: int | None = None) -> GvvEffective:
         delta_1p=d1, delta_0p=d0, delta_10=d10, delta_01=d01,
         h=h, B=b, Omega=omega_closed, Omega_grwa=omega_grwa,
     )
+
+
+def gvv_effectives(omega: float, amps, K: int | None = None, omega0: float = 1.0) -> list:
+    """The effective 2x2 matrix and both oscillation frequencies across a sweep.
+
+    One entry per amplitude: a GvvEffective, or the
+    MultiphotonResonanceError that amplitude degrades to when a level
+    outside the pair is (nearly) resonant with it.  ``K`` defaults to
+    ``default_k_sum`` per amplitude.  Every amplitude's Bessel table comes
+    from one downward recurrence, to order 2 max K + 1 at all A/omega.
+
+    The matrix acts on (|1, 0>, |0, n>), n = +1 if J0 omega0 >= 0 else -1.
+    Omega is computed twice, from the closed form and from the eigenvalue
+    gap of the matrix; disagreement beyond 1e-10 omega0 raises, guarding
+    against transcription slips in the dense closed-form expression.
+    """
+    if K is not None and K < 1:
+        raise DomainError("K must be >= 1")
+    params = [DriveParams(omega0, float(a), omega) for a in amps]
+    ks = [default_k_sum(p) if K is None else K for p in params]
+    tables = bessel_tables([p.A / p.omega for p in params], [2 * k + 1 for k in ks])
+    out = []
+    for p, k, table in zip(params, ks, tables):
+        try:
+            out.append(_effective(p, k, table))
+        except MultiphotonResonanceError as exc:
+            out.append(exc)
+    return out
+
+
+def gvv_effective(p: DriveParams, K: int | None = None) -> GvvEffective:
+    """The one-amplitude :func:`gvv_effectives`: its reduction, or its error raised."""
+    (eff,) = gvv_effectives(p.omega, [p.A], K, p.omega0)
+    if isinstance(eff, Exception):
+        raise eff
+    return eff
+
+
+def gvv_shifts(p: DriveParams, K: int | None = None) -> tuple[float, float, float, float]:
+    """Second-order shifts (delta_1p, delta_0p, delta_10, delta_01).
+
+    Van Vleck shifts of the reduced pair |1, 0>, |0, n> (n = +1 if
+    J0 omega0 >= 0, else -1), read from :func:`gvv_effective`.  Sums run
+    over the harmonic index k in [-K, K] excluding 0 with Bessel argument
+    A/omega.  A near-zero denominator of a level outside the pair raises
+    MultiphotonResonanceError rather than silently diverging.
+    """
+    eff = gvv_effective(p, K)
+    return eff.delta_1p, eff.delta_0p, eff.delta_10, eff.delta_01
 
 
 def build_floquet_matrix_dut(p: DriveParams, N: int = DEFAULT_TRUNCATION) -> FloquetMatrix:

@@ -126,12 +126,27 @@ class BesselTable:
         return float(vals) if vals.ndim == 0 else vals
 
 
+def bessel_tables(x, max_orders) -> list[BesselTable]:
+    """One table of all J_n(x[i]) for |n| <= max_orders[i] per argument.
+
+    A single downward recurrence serves every table.  Its length is set by
+    the largest order and the largest |x| (Gautschi 1967), not by the
+    number of tables, so a sweep pays for one table, not one per point.
+    """
+    orders = [int(m) for m in max_orders]
+    if min(orders, default=0) < 0:
+        raise DomainError("max_order must be nonnegative")
+    top = max(orders, default=0)
+    xa = _checked_domain(np.asarray(x, dtype=float).ravel(), top)
+    if xa.size != len(orders):
+        raise ContractViolationError(f"{xa.size} arguments but {len(orders)} orders")
+    values = _bessel_backward(top, xa)
+    return [BesselTable(max_order=m, values=values[:m + 1, i]) for i, m in enumerate(orders)]
+
+
 def bessel_table(x: float, max_order: int) -> BesselTable:
     """All J_n(x) for |n| <= max_order from a single downward recurrence."""
-    if max_order < 0:
-        raise DomainError("max_order must be nonnegative")
-    xa = _checked_domain(float(x), max_order)
-    return BesselTable(max_order=max_order, values=_bessel_backward(max_order, xa[None])[:, 0])
+    return bessel_tables([float(x)], [max_order])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -147,14 +162,19 @@ def _check_finite(x: np.ndarray, y: np.ndarray) -> None:
 def _refine(f, a: np.ndarray, b: np.ndarray, fa: np.ndarray, fb: np.ndarray, tol: float) -> np.ndarray:
     """Shrink the sign-change brackets [a, b] together until each is <= tol wide.
 
-    Each round calls ``f`` once, on the trial points of all open brackets.
+    Each round calls ``f(x, rows)`` once, on the trial points ``x`` of all
+    open brackets; ``rows`` holds their indices into ``a``, so brackets of
+    different functions (one per row) are refined in the same calls.
     A trial point is the Illinois regula falsi one (Dowell & Jarratt, BIT
     11, 168, 1971): the root of the secant through the bracket ends, where
     the end the last secant point did not replace enters with its value
     halved once for every repeat of that side in a row.  Rounds come in
     pairs; in the second round of a pair a bracket the first did not
     halve is bisected instead, so every pair at least halves every
-    bracket and no bracket takes more than twice bisection's calls.
+    bracket and no bracket takes more than twice bisection's calls.  A
+    bracket also closes once it is at most four float spacings of its
+    larger end wide: a ``tol`` below the spacing could never be met, and a
+    bracket of adjacent floats would bisect onto its own end for ever.
     Returns the midpoint of each final bracket, or the trial point where
     ``f`` is exactly zero.
     """
@@ -165,7 +185,7 @@ def _refine(f, a: np.ndarray, b: np.ndarray, fa: np.ndarray, fb: np.ndarray, tol
     ref = b - a                    # width at the start of the current pair
     second = False
     while True:
-        narrow = b - a <= tol
+        narrow = b - a <= np.maximum(tol, 4.0 * np.spacing(np.maximum(np.abs(a), np.abs(b))))
         roots[rows[narrow]] = 0.5 * (a[narrow] + b[narrow])
         rows, a, b, fa, fb, side, weight, ref = (
             v[~narrow] for v in (rows, a, b, fa, fb, side, weight, ref))
@@ -175,7 +195,7 @@ def _refine(f, a: np.ndarray, b: np.ndarray, fa: np.ndarray, fb: np.ndarray, tol
         ga = np.where(side > 0, weight * fa, fa)
         gb = np.where(side < 0, weight * fb, fb)
         x = np.where(bisect, 0.5 * (a + b), np.clip(a + (b - a) * (ga / (ga - gb)), a, b))
-        fx = np.asarray(f(x), dtype=float)
+        fx = np.asarray(f(x, rows), dtype=float)
         _check_finite(x, fx)
         on_a = np.signbit(fx) == np.signbit(fa)
         secant_side = np.where(on_a, -1.0, 1.0)
@@ -236,10 +256,10 @@ def find_roots(
     vectorised ``f`` once, on the open brackets' trial points.
     """
     if not (math.isfinite(tol) and tol > 0.0):
-        # a bracket cannot shrink below one ulp, so refinement to tol <= 0 never ends
+        # a tolerance is a positive width; _refine's float-spacing stop is a floor, not a target
         raise DomainError(f"tol must be finite and > 0, got {tol}")
     xs, ys, cell = _scan(f, lo, hi, scan_points)
-    refined = _refine(f, xs[cell], xs[cell + 1], ys[cell], ys[cell + 1], tol)
+    refined = _refine(lambda x, rows: f(x), xs[cell], xs[cell + 1], ys[cell], ys[cell + 1], tol)
     return tuple(np.sort(np.concatenate([xs[ys == 0.0], refined])).tolist())
 
 

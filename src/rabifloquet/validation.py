@@ -2,8 +2,8 @@
 CLI (``validate`` subcommand) or the test suite.
 
 Each check returns a CheckResult; the suite is deterministic (fixed seeds)
-and runs in about 17 s on one core of a 2-core x86 machine (criterion 6
-takes about 9.1 s of that).  Failures report the worst offending value so
+and runs in about 6 s on one core of a 2-core x86 machine (criterion 6
+takes about 3 s of that).  Failures report the worst offending value so
 regressions are diagnosable from the one-line summary.
 """
 
@@ -15,7 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chrw import chrw_coefficients, chrw_solution, p1_chrw, solution_count_map, solve_xi
+from .chrw import (
+    chrw_coefficients,
+    chrw_solution,
+    chrw_solutions,
+    p1_chrw,
+    solution_count_map,
+    solve_xi,
+)
 from .errors import AmbiguousSolutionError, NoSolutionError, RabiFloquetError
 from .floquet import (
     dynamic_base,
@@ -155,13 +162,10 @@ def check_coefficient_closure() -> CheckResult:
     worst = 0.0
     n_checked = 0
     for omega in np.linspace(0.5, 2.0, 50):
-        for amp in np.linspace(0.0, 2.0, 50):
-            p = DriveParams(1.0, float(amp), float(omega))
-            try:
-                sol = chrw_solution(p)
-            except (NoSolutionError, AmbiguousSolutionError):
+        for sol in chrw_solutions(float(omega), np.linspace(0.0, 2.0, 50)):
+            if isinstance(sol, (NoSolutionError, AmbiguousSolutionError)):
                 continue  # the series exists only where xi is unique
-            coeffs = chrw_coefficients(sol, p)
+            coeffs = chrw_coefficients(sol, sol.params)
             worst = max(worst, abs(coeffs.closure_sum()))
             n_checked += 1
     return CheckResult(6, "coefficient closure", worst <= 1e-6,

@@ -2,13 +2,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rabifloquet.chrw import (
+    ROOT_TOL,
+    SCAN_POINTS,
+    ChrwSolution,
+    _xi_residual,
     chrw_coefficients,
     chrw_solution,
+    chrw_solutions,
     p1_chrw,
     solution_count_map,
     solve_xi,
+    xi_roots,
 )
 from rabifloquet.errors import (
     AmbiguousSolutionError,
@@ -17,7 +25,7 @@ from rabifloquet.errors import (
 )
 from rabifloquet.floquet import p1_direct
 from rabifloquet.model import DriveParams
-from rabifloquet.numerics import bessel_j
+from rabifloquet.numerics import bessel_j, find_roots
 
 
 class TestSolveXi:
@@ -86,6 +94,41 @@ class TestSolutionStructure:
         grid = solution_count_map([0.5, 0.75, 1.0], [0.5, 0.75, 1.0])
         assert grid.counts.shape == (3, 3)
         assert np.all(grid.counts == 1)
+
+
+class TestSweep:
+    @settings(max_examples=25, deadline=None, database=None)
+    @given(omega=st.floats(0.1, 3.0), amps=st.lists(st.floats(0.0, 10.0), max_size=5))
+    def test_roots_match_per_amplitude_find_roots(self, omega, amps):
+        # one refinement for the whole sweep finds what each amplitude's own
+        # scan and refinement finds; A = 0 owns no root
+        amps = [0.0] + amps
+        owner, xi = xi_roots(omega, amps)
+        assert np.all(np.diff(owner) >= 0)
+        for i, amp in enumerate(amps):
+            mine = xi[owner == i]
+            want = find_roots(_xi_residual(DriveParams(1.0, amp, omega)), 0.0, 1.0,
+                              SCAN_POINTS, ROOT_TOL) if amp > 0.0 else ()
+            assert len(mine) == len(want)
+            np.testing.assert_allclose(mine, want, rtol=0, atol=ROOT_TOL)
+
+    def test_degraded_amplitudes(self):
+        # the amplitudes of `spectrum --omega 0.3333333333333333
+        # --amp-range 0:1:0.5`: only the undriven one has no series
+        sols = chrw_solutions(0.3333333333333333, [0.0, 0.5, 1.0])
+        assert isinstance(sols[0], NoSolutionError) and "A = 0" in str(sols[0])
+        for sol, amp in zip(sols[1:], (0.5, 1.0)):
+            alone = chrw_solution(DriveParams(1.0, amp, 0.3333333333333333))
+            assert sol.params == alone.params
+            assert sol.xi == pytest.approx(alone.xi, abs=ROOT_TOL)
+            assert sol.Omega_tilde == pytest.approx(alone.Omega_tilde, rel=1e-10)
+
+    def test_each_amplitude_keeps_its_own_error(self):
+        # one root, two roots and none in one sweep: only the last two degrade
+        sols = chrw_solutions(0.27, [1.0, 1.41, 5.0])
+        assert isinstance(sols[0], ChrwSolution)
+        assert isinstance(sols[1], AmbiguousSolutionError) and len(sols[1].roots) == 2
+        assert isinstance(sols[2], NoSolutionError)
 
 
 class TestCoefficients:

@@ -2,17 +2,24 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rabifloquet.errors import DomainError, MultiphotonResonanceError
 from rabifloquet.floquet import build_floquet_matrix_lab, quasienergies
 from rabifloquet.gvv import (
+    GvvEffective,
+    _partner_photon,
+    _shifts,
     build_floquet_matrix_dut,
+    default_k_sum,
     frame_unitary,
     gvv_effective,
+    gvv_effectives,
     gvv_shifts,
 )
 from rabifloquet.model import DriveParams
-from rabifloquet.numerics import bessel_j
+from rabifloquet.numerics import bessel_j, bessel_table
 
 
 def brute_force_shifts(p, n, N=40):
@@ -192,3 +199,33 @@ class TestFrameUnitary:
         p = DriveParams(1.0, 3.0, 0.6)
         assert np.allclose(frame_unitary(p, 1.3),
                            frame_unitary(p, 1.3 + p.period), atol=1e-12)
+
+
+class TestSweep:
+    @settings(max_examples=30, deadline=None, database=None)
+    @given(omega=st.floats(0.1, 3.0), amps=st.lists(st.floats(0.0, 20.0), max_size=5),
+           K=st.none() | st.integers(1, 80))
+    def test_shifts_match_per_point_tables(self, omega, amps, K):
+        # one recurrence to the sweep's largest order gives each amplitude
+        # the shifts of its own table, and the same resonances
+        amps = [0.0] + amps
+        for amp, eff in zip(amps, gvv_effectives(omega, amps, K)):
+            p = DriveParams(1.0, amp, omega)
+            k = default_k_sum(p) if K is None else K
+            table = bessel_table(amp / omega, 2 * k + 1)
+            n = _partner_photon(p, table)
+            try:
+                want = _shifts(p, k, n, table)
+            except MultiphotonResonanceError:
+                assert isinstance(eff, MultiphotonResonanceError)
+                continue
+            assert isinstance(eff, GvvEffective) and (eff.K, eff.n) == (k, n)
+            got = (eff.delta_1p, eff.delta_0p, eff.delta_10, eff.delta_01)
+            assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-14 * max(map(abs, want))
+
+    def test_degraded_amplitudes(self):
+        # the amplitudes of `spectrum --omega 0.3333333333333333
+        # --amp-range 0:1:0.5`: J0 omega0 = 3 omega at A = 0 only
+        effs = gvv_effectives(0.3333333333333333, [0.0, 0.5, 1.0])
+        assert isinstance(effs[0], MultiphotonResonanceError)
+        assert all(isinstance(e, GvvEffective) for e in effs[1:])

@@ -18,6 +18,7 @@ from rabifloquet.numerics import (
     _rk4_pass,
     bessel_j,
     bessel_table,
+    bessel_tables,
     count_roots,
     dominant_peaks,
     eig_hermitian,
@@ -184,6 +185,14 @@ class TestBesselProperties:
         np.testing.assert_allclose(table[orders], expected, rtol=0, atol=1e-15)
 
     @settings(max_examples=40, deadline=None, database=None)
+    @given(xs=st.lists(ARGUMENTS, max_size=5), orders=st.lists(st.integers(0, 60), min_size=5, max_size=5))
+    def test_tables_from_one_recurrence_match_single_tables(self, xs, orders):
+        tables = bessel_tables(xs, orders[:len(xs)])
+        for x, m, table in zip(xs, orders, tables):
+            assert table.max_order == m
+            np.testing.assert_allclose(table.values, bessel_table(x, m).values, rtol=0, atol=1e-15)
+
+    @settings(max_examples=40, deadline=None, database=None)
     @given(n=ORDERS, x=ARGUMENTS)
     def test_recurrence_and_normalization(self, n, x):
         # x (J_{n-1} + J_{n+1}) = 2 n J_n, and J_0 + 2 sum_{k>=1} J_{2k} = 1
@@ -262,6 +271,15 @@ class TestFindRoots:
         found = find_roots(f, 0.0, 1.0, scan_points=2, tol=tol)
         assert found == pytest.approx((math.log(2.0) / 200.0,), abs=tol)
 
+    def test_tolerance_below_float_spacing_ends(self):
+        # tol = 1e-15 is below the float spacing near the root 32 pi
+        # (1.4e-14): the bracket closes at a few spacings instead of
+        # bisecting onto its own end for ever
+        root = 32.0 * math.pi
+        f = budgeted(np.sin, 1 + 2 * math.ceil(math.log2((1.0 / 9.0) / math.ulp(root))))
+        found = find_roots(f, 100.0, 101.0, scan_points=10, tol=1e-15)
+        assert found == pytest.approx((root,), abs=4 * math.ulp(root))
+
     def test_nonfinite_value_at_refinement_point_raises(self):
         # NaN only near the root, off the scan grid 0, 0.1, ..., 1: the
         # scan passes and the first refinement point is rejected by name.
@@ -276,8 +294,7 @@ class TestFindRoots:
 
     @pytest.mark.parametrize("tol", [0.0, -1e-12, math.nan, math.inf])
     def test_rejects_tol_that_cannot_end(self, tol):
-        # a bracket cannot shrink below one ulp: refining to tol <= 0 would
-        # never return
+        # a tolerance is a finite positive width
         with pytest.raises(DomainError):
             find_roots(lambda x: x * x - 2.0, 0.0, 2.0, tol=tol)
 
